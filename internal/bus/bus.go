@@ -20,9 +20,9 @@ type Bus struct {
 
 	// OnStore, when non-nil, observes every successful architectural
 	// store (address, size) regardless of which execution mode issued it.
-	// The DBT machine hooks the interpreter's predecode table here so
-	// self-modifying guest code invalidates stale decoded entries; the
-	// hook must be cheap (it runs on the store hot path).
+	// The DBT machine hooks its translated-region invalidation here so
+	// self-modifying guest code never runs stale translations; the hook
+	// must be cheap (it runs on the store hot path).
 	OnStore func(addr uint64, size int)
 
 	// OnAccess, when non-nil, is consulted before every architectural

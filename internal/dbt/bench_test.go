@@ -7,8 +7,8 @@ import (
 )
 
 // interpLoopSrc is a tight interpreted loop: every instruction goes
-// through fetch+decode (or the predecode table), so the pair of
-// sub-benchmarks below isolates exactly what the side table buys.
+// through fetch+decode, so BenchmarkInterpLoop measures the
+// interpreter's per-instruction cost.
 const interpLoopSrc = `
 main:
 	li s1, 0
@@ -25,11 +25,10 @@ loop:
 	ecall
 `
 
-func benchInterp(b *testing.B, disablePredecode bool) {
+func BenchmarkInterpLoop(b *testing.B) {
 	p := riscv.MustAssemble(interpLoopSrc)
 	cfg := DefaultConfig()
 	cfg.DisableTranslation = true
-	cfg.DisablePredecode = disablePredecode
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,11 +44,6 @@ func benchInterp(b *testing.B, disablePredecode bool) {
 		}
 		m.Release()
 	}
-}
-
-func BenchmarkInterpLoop(b *testing.B) {
-	b.Run("predecode", func(b *testing.B) { benchInterp(b, false) })
-	b.Run("no-predecode", func(b *testing.B) { benchInterp(b, true) })
 }
 
 // BenchmarkMachineSteadyState measures the whole machine on a hot loop

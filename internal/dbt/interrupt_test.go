@@ -60,8 +60,8 @@ loop:
 }
 
 // spinSrc is a hot loop that runs long enough for any budget or
-// interrupt in these tests to fire while the loop is translated,
-// traced and chained.
+// interrupt in these tests to fire while the loop is translated and
+// traced.
 const spinSrc = `
 main:
 	li s1, 0
@@ -94,71 +94,53 @@ func runSpin(t *testing.T, cfg Config) (*Machine, error) {
 	return m, runErr
 }
 
-// TestMaxCyclesParityUnderChaining pins the quota contract the serving
-// layer's cycle budgets rest on: block chaining must not let a guest
-// coast past Config.MaxCycles. The budget check runs once per block
-// transfer inside the chain loop — the same cadence as the unchained
-// dispatch loop — so the chained and unchained runs must trap at the
-// exact same cycle, and the overshoot past the limit is bounded by a
-// single block execution, far less than one ChainBudget of blocks.
-func TestMaxCyclesParityUnderChaining(t *testing.T) {
+// TestMaxCyclesStopsTranslatedLoop pins the quota contract the serving
+// layer's cycle budgets rest on: a guest spinning in translated code
+// must not coast past Config.MaxCycles. The dispatch loop checks the
+// budget before every block, so the overshoot past the limit is bounded
+// by a single block execution.
+func TestMaxCyclesStopsTranslatedLoop(t *testing.T) {
 	const limit = 100_000
 
-	faults := map[string]*trap.Fault{}
-	for name, disable := range map[string]bool{"chained": false, "unchained": true} {
-		cfg := DefaultConfig()
-		cfg.MaxCycles = limit
-		cfg.DisableChaining = disable
-		m, err := runSpin(t, cfg)
-		f := trap.As(err)
-		if f == nil || f.Kind != trap.CycleBudgetExceeded {
-			t.Fatalf("%s: error %v, want a %s trap", name, err, trap.CycleBudgetExceeded)
-		}
-		if f.Cycle <= limit {
-			t.Errorf("%s: trap cycle %d did not pass the limit %d", name, f.Cycle, limit)
-		}
-		if m.stats.Translations == 0 {
-			t.Errorf("%s: loop was never translated; the test exercised only the interpreter", name)
-		}
-		faults[name] = f
+	cfg := DefaultConfig()
+	cfg.MaxCycles = limit
+	m, err := runSpin(t, cfg)
+	f := trap.As(err)
+	if f == nil || f.Kind != trap.CycleBudgetExceeded {
+		t.Fatalf("error %v, want a %s trap", err, trap.CycleBudgetExceeded)
 	}
-	if c, u := faults["chained"].Cycle, faults["unchained"].Cycle; c != u {
-		t.Errorf("budget cadence diverges under chaining: chained trap at cycle %d, unchained at %d", c, u)
+	if f.Cycle <= limit {
+		t.Errorf("trap cycle %d did not pass the limit %d", f.Cycle, limit)
 	}
-	// "Promptly" quantified: the overshoot is one block, not one chain.
-	if over := faults["chained"].Cycle - limit; over > 5_000 {
-		t.Errorf("chained run overshot the budget by %d cycles", over)
+	if m.stats.Translations == 0 {
+		t.Error("loop was never translated; the test exercised only the interpreter")
+	}
+	// "Promptly" quantified: the overshoot is one block.
+	if over := f.Cycle - limit; over > 5_000 {
+		t.Errorf("run overshot the budget by %d cycles", over)
 	}
 }
 
-// TestInterruptParityUnderChaining does the same for the cancellation
-// hook: the chain loop shares the outer dispatch loop's poll counter,
-// so a pending interrupt stops a chained run at the same cycle as an
-// unchained one — the property that makes job deadlines and drain
-// cancellation prompt regardless of how hot the guest is.
-func TestInterruptParityUnderChaining(t *testing.T) {
+// TestInterruptStopsTranslatedLoop does the same for the cancellation
+// hook: a pending interrupt stops a guest spinning in translated code at
+// the next poll, and the reported cycle is the machine's own — the
+// property that makes job deadlines and drain cancellation prompt
+// regardless of how hot the guest is.
+func TestInterruptStopsTranslatedLoop(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
 
-	cycles := map[string]uint64{}
-	for name, disable := range map[string]bool{"chained": false, "unchained": true} {
-		cfg := DefaultConfig()
-		cfg.Interrupt = stop
-		cfg.DisableChaining = disable
-		m, err := runSpin(t, cfg)
-		if !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("%s: error %v, want ErrInterrupted", name, err)
-		}
-		var at uint64
-		if _, serr := fmt.Sscanf(err.Error(), "dbt: run interrupted at cycle %d", &at); serr != nil {
-			t.Fatalf("%s: cannot parse interrupt cycle from %q: %v", name, err, serr)
-		}
-		if at == 0 || at != m.Cycles() {
-			t.Errorf("%s: reported cycle %d, machine at %d", name, at, m.Cycles())
-		}
-		cycles[name] = at
+	cfg := DefaultConfig()
+	cfg.Interrupt = stop
+	m, err := runSpin(t, cfg)
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("error %v, want ErrInterrupted", err)
 	}
-	if c, u := cycles["chained"], cycles["unchained"]; c != u {
-		t.Errorf("interrupt cadence diverges under chaining: chained at cycle %d, unchained at %d", c, u)
+	var at uint64
+	if _, serr := fmt.Sscanf(err.Error(), "dbt: run interrupted at cycle %d", &at); serr != nil {
+		t.Fatalf("cannot parse interrupt cycle from %q: %v", err, serr)
+	}
+	if at == 0 || at != m.Cycles() {
+		t.Errorf("reported cycle %d, machine at %d", at, m.Cycles())
 	}
 }

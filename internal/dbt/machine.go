@@ -61,22 +61,6 @@ type Config struct {
 	DisableTranslation bool // pure interpreter (debugging/reference)
 	DisableTraces      bool // first-pass blocks only
 
-	// DisableChaining turns off direct block chaining: every translated
-	// block dispatch then goes through the outer loop's translation-
-	// cache lookup and register-file copies. Chaining is a pure host-
-	// side accelerator — guest-visible behaviour (cycle counts,
-	// results, trap identity) is identical either way, and the
-	// differential tests assert it. Chaining also disables itself
-	// whenever a tracer or fault injector is active, so per-dispatch
-	// observation windows stay exact.
-	DisableChaining bool
-
-	// ChainBudget caps how many translated blocks may run back-to-back
-	// before the chained inner loop surfaces to the outer dispatch
-	// loop (profiling fairness and prompt interrupt delivery). 0 means
-	// the default of 64.
-	ChainBudget int
-
 	// TransCache, when non-nil, is the persistent translation cache:
 	// compiled regions are looked up before invoking the DBT engine and
 	// recorded after fresh compilations, keyed by guest image, run
@@ -95,13 +79,6 @@ type Config struct {
 	// writes into guest memory after load, since they steer profiling
 	// and therefore trace formation. Ignored without TransCache.
 	TCacheSalt string
-
-	// DisablePredecode turns off the interpreter's decoded-instruction
-	// side table, forcing a fetch+decode on every interpreted
-	// instruction. The table is purely a host-side accelerator —
-	// guest-visible behaviour (cycle counts, results, attack outcomes)
-	// is identical either way, and the differential tests assert it.
-	DisablePredecode bool
 
 	// MaxCycles aborts runaway guests. 0 means no limit. Exhaustion is a
 	// CycleBudgetExceeded trap carrying the PC and cycle count.
@@ -223,11 +200,9 @@ type Stats struct {
 	// produce a complete metrics Snapshot.
 	Instret uint64
 
-	// Cache and Pred capture the memory-system and interpreter
-	// side-table counters at run end, so the unified Snapshot covers
-	// every subsystem from one value.
+	// Cache captures the memory-system counters at run end, so the
+	// unified Snapshot covers every subsystem from one value.
 	Cache cache.Stats
-	Pred  riscv.PredecodeStats
 }
 
 // Result reports a finished guest run.
@@ -246,15 +221,6 @@ type transEntry struct {
 	// translated from; a guest store into it invalidates the region
 	// (self-modifying code).
 	lo, hi uint64
-
-	// Direct-chaining link cache: resolved successors of this region,
-	// patched lazily on first chained dispatch. linkEpoch validates the
-	// links against Machine.chainEpoch — any mutation of the
-	// translation cache bumps the epoch and thereby severs every link
-	// in one step (see chain.go).
-	links      [chainLinks]chainLink
-	linkEpoch  uint64
-	linkVictim uint8
 
 	// Adaptive-retranslation bookkeeping.
 	execs     uint64
@@ -300,33 +266,24 @@ type Machine struct {
 	state riscv.State
 	vregs [vliw.NumRegs]uint64
 
-	// pred caches decoded instructions for the interpreter over the
-	// loaded program's text; nil when disabled or before Load. Guest
-	// stores invalidate overlapping entries via the bus store hook.
-	pred *riscv.Predecode
-
 	cycles uint64
 
 	// ts owns the translation-state maps below; they are leased from a
 	// package pool and returned by Release, so the harness's
 	// create/release churn reuses map storage instead of thrashing the
-	// GC. entries values are pointers so chain links can bump a
-	// block's profile counter without a map lookup.
+	// GC. entries values are pointers so a profiled entry is counted
+	// with one map lookup.
 	ts       *transState
 	entries  map[uint64]*uint64
 	branches map[uint64]*brStat
 	trans    map[uint64]*transEntry
 	noTrans  map[uint64]struct{}
 
-	// chainEpoch versions the chain links cached on transEntries: it
-	// starts at 1 and is bumped by every translation-cache mutation
-	// (install, deopt, blacklist, SMC invalidation), lazily severing
-	// all links. transLo/transHi bound the guest text covered by any
-	// translated region, so the store hook can reject non-code stores
-	// with two compares.
-	chainEpoch uint64
-	transLo    uint64
-	transHi    uint64
+	// transLo/transHi bound the guest text covered by any translated
+	// region, so the store hook can reject non-code stores with two
+	// compares.
+	transLo uint64
+	transHi uint64
 
 	// tcr is this run's view of the persistent translation cache (nil
 	// when no cache is configured or the run is ineligible). A guest
@@ -380,17 +337,16 @@ func New(cfg Config) (*Machine, error) {
 	}
 	ts := transPool.Get().(*transState)
 	m := &Machine{
-		cfg:        cfg,
-		mem:        mem,
-		b:          b,
-		core:       c,
-		ts:         ts,
-		entries:    ts.entries,
-		branches:   ts.branches,
-		trans:      ts.trans,
-		noTrans:    ts.noTrans,
-		chainEpoch: 1,
-		transLo:    ^uint64(0),
+		cfg:      cfg,
+		mem:      mem,
+		b:        b,
+		core:     c,
+		ts:       ts,
+		entries:  ts.entries,
+		branches: ts.branches,
+		trans:    ts.trans,
+		noTrans:  ts.noTrans,
+		transLo:  ^uint64(0),
 	}
 	if cfg.FaultInject.enabled() {
 		m.inj = newInjector(*cfg.FaultInject)
@@ -435,10 +391,9 @@ func (m *Machine) TranslateHostNS() int64 { return m.transHostNS }
 func (m *Machine) State() *riscv.State { return &m.state }
 
 // Load places an assembled program into guest memory and points the PC
-// at its entry. The stack pointer is set to the top of memory. Unless
-// disabled, a predecode table is set up over the text region and wired
-// to the bus store hook, so self-modifying code invalidates stale
-// entries no matter which execution mode issued the store.
+// at its entry. The stack pointer is set to the top of memory. The bus
+// store hook is wired here, so self-modifying code invalidates stale
+// translated regions no matter which execution mode issued the store.
 func (m *Machine) Load(p *riscv.Program) error {
 	for i, w := range p.Text {
 		if err := m.mem.Write(p.TextBase+uint64(4*i), 4, uint64(w)); err != nil {
@@ -450,13 +405,6 @@ func (m *Machine) Load(p *riscv.Program) error {
 			return fmt.Errorf("dbt: loading data: %w", err)
 		}
 	}
-	if !m.cfg.DisablePredecode {
-		m.pred = riscv.NewPredecode(p.TextBase, len(p.Text))
-	}
-	// The store hook serves two invalidation duties: interpreter
-	// predecode entries and translated regions (plus their chain
-	// links). It is wired even with predecode disabled — translated
-	// code must never survive the guest overwriting it.
 	m.b.OnStore = m.onGuestStore
 	m.textLo = p.TextBase
 	m.textHi = p.TextBase + uint64(4*len(p.Text))
@@ -513,19 +461,12 @@ func (m *Machine) Release() {
 		m.ts = nil
 		m.entries, m.branches, m.trans, m.noTrans = nil, nil, nil, nil
 	}
-	m.pred = nil
 	if m.mem == nil {
 		return
 	}
 	m.mem.Recycle()
 	m.mem = nil
 	m.b = nil
-}
-
-// PredecodeStats reports the interpreter side-table counters (zero when
-// the table is disabled).
-func (m *Machine) PredecodeStats() riscv.PredecodeStats {
-	return m.pred.Stats()
 }
 
 // oracle reports the biased direction of a profiled branch.
@@ -593,10 +534,6 @@ func (m *Machine) transFail(pc uint64, injected bool, cause error) {
 	}
 	if !injected {
 		m.noTrans[pc] = struct{}{}
-		// Chain links cache a "keep profiling this successor" decision
-		// that blacklisting reverses; sever them so the decision is
-		// re-made against the updated noTrans set.
-		m.chainEpoch++
 	}
 }
 
@@ -806,14 +743,6 @@ func (m *Machine) raise(f *trap.Fault, pc uint64) *trap.Fault {
 func (m *Machine) Run() (*Result, error) {
 	m.onEnter(m.state.PC)
 	poll := 0
-	// Chaining keeps per-dispatch observation out of the loop, so it
-	// stands down whenever a tracer or fault injector needs to see (or
-	// perturb) every dispatch.
-	chainOK := !m.cfg.DisableChaining && m.inj == nil && !m.tr.BlockOn()
-	budget := m.cfg.ChainBudget
-	if budget <= 0 {
-		budget = defaultChainBudget
-	}
 	for {
 		if m.cfg.MaxCycles != 0 && m.cycles > m.cfg.MaxCycles {
 			f := trap.Newf(trap.CycleBudgetExceeded, "cycle budget exceeded (max %d)", m.cfg.MaxCycles)
@@ -838,16 +767,6 @@ func (m *Machine) Run() (*Result, error) {
 		}
 		pc := m.state.PC
 		if e := m.trans[pc]; e != nil {
-			if chainOK {
-				f, fpc, err := m.runChain(pc, e, &poll, budget)
-				if err != nil {
-					return nil, err
-				}
-				if f != nil {
-					return nil, m.raise(f, fpc)
-				}
-				continue
-			}
 			tron := m.tr.BlockOn()
 			if tron {
 				kind := "block"
@@ -923,7 +842,7 @@ func (m *Machine) Run() (*Result, error) {
 				m.tr.Emit(obs.Event{Kind: obs.EvInterpEnter, Cycle: m.cycles, PC: pc})
 			}
 		}
-		res := riscv.StepPredecoded(&m.state, m.b, m.cfg.Interp, m.cycles, m.pred)
+		res := riscv.Step(&m.state, m.b, m.cfg.Interp, m.cycles)
 		m.cycles += res.Cycles
 		m.stats.InterpInsts++
 		switch res.Event.Kind {
@@ -973,23 +892,12 @@ func (m *Machine) result(ev riscv.Event) *Result {
 	s.SpecSquash = cs.SpecSquash
 	s.Instret = m.state.Instret + m.core.Instret
 	s.Cache = m.b.DC.Stats()
-	s.Pred = m.pred.Stats()
 	return &Result{
 		Exit:    ev,
 		Cycles:  m.cycles,
 		Instret: s.Instret,
 		Stats:   s,
 	}
-}
-
-// TranslatedAt reports whether pc currently has translated code and
-// whether it is a trace (test introspection).
-func (m *Machine) TranslatedAt(pc uint64) (exists, isTrace bool) {
-	e := m.trans[pc]
-	if e == nil {
-		return false, false
-	}
-	return true, e.isTrace
 }
 
 // BlockAt returns the translated block at pc, for inspection.

@@ -539,10 +539,11 @@ loop:
 	// The loop head should be a trace with unrolled body.
 	p := riscv.MustAssemble(src)
 	loopPC := p.MustSymbol("loop")
-	if ok, isTrace := m.TranslatedAt(loopPC); !ok || !isTrace {
-		t.Fatalf("loop head translated=%v trace=%v", ok, isTrace)
+	e := m.trans[loopPC]
+	if e == nil || !e.isTrace {
+		t.Fatalf("loop head translated=%v trace=%v", e != nil, e != nil && e.isTrace)
 	}
-	blk := m.BlockAt(loopPC)
+	blk := e.blk
 	if blk.GuestInsts <= 6 {
 		t.Errorf("trace covers %d guest insts; expected unrolling", blk.GuestInsts)
 	}

@@ -9,7 +9,8 @@ import (
 // the observability layer. The names are the stable contract shared by
 // `gbrun -stats -json` and the `metrics` field of gbbench's perf JSON
 // (see obs.Snapshot): never rename or repurpose one — add a new name
-// instead. Trap counters appear as "trap.<kind>" and only when
+// instead; a name is only retired together with the subsystem it
+// counts. Trap counters appear as "trap.<kind>" and only when
 // non-zero; every other metric is always present.
 func (s Stats) Snapshot(cycles uint64) obs.Snapshot {
 	snap := obs.Snapshot{
@@ -43,11 +44,6 @@ func (s Stats) Snapshot(cycles uint64) obs.Snapshot {
 		"cache.hits":    s.Cache.Hits,
 		"cache.misses":  s.Cache.Misses,
 		"cache.flushes": s.Cache.Flushes,
-
-		"predecode.hits":          s.Pred.Hits,
-		"predecode.fills":         s.Pred.Fills,
-		"predecode.bypasses":      s.Pred.Bypasses,
-		"predecode.invalidations": s.Pred.Invalidations,
 	}
 	for k, n := range s.Traps {
 		if n != 0 {

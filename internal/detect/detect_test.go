@@ -135,32 +135,6 @@ func TestBatchSizeIndependence(t *testing.T) {
 	}
 }
 
-// Chaining is a host-side accelerator with identical guest-visible
-// behaviour; the detector must reach the same verdict either way.
-func TestDetectionParityChainedVsUnchained(t *testing.T) {
-	run := func(disable bool) []byte {
-		det := New(Config{})
-		cfg := dbt.DefaultConfig()
-		cfg.DisableChaining = disable
-		cfg.Tracer = obs.New(obs.LevelSpec, det)
-		if _, err := attack.Run(attack.V1, cfg, attack.Params{Secret: evalSecret}); err != nil {
-			t.Fatal(err)
-		}
-		if err := cfg.Tracer.Close(); err != nil {
-			t.Fatal(err)
-		}
-		j, err := det.Report().JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	chained, unchained := run(false), run(true)
-	if !bytes.Equal(chained, unchained) {
-		t.Errorf("chained and unchained backends disagree:\n%s\n---\n%s", chained, unchained)
-	}
-}
-
 // The detector's phase tracks must decorate the timeline it reports.
 func TestTrackEventsMatchIntervals(t *testing.T) {
 	rep, _ := runAttack(t, attack.V1, core.ModeUnsafe, Config{})

@@ -9,17 +9,18 @@ import (
 	"ghostbusters/internal/obs"
 )
 
-// Attaching a tracer must not perturb the experiment: the Figure 4
-// table and CSV are byte-identical with tracing off and with full
-// speculation-level tracing on. Tracers are single-threaded, so the
-// traced run pins Workers to 1 — sharing one tracer across parallel
-// cells is a usage error, not something this test legitimises.
+// Attaching a tracer must not perturb the experiment: every cell's
+// cycles and statistics, and so the Figure 4 table and CSV, are
+// identical with tracing off and with full speculation-level tracing
+// on. Tracers are single-threaded, so the traced run pins Workers to
+// 1 — sharing one tracer across parallel cells is a usage error, not
+// something this test legitimises.
 func TestFig4OutputUnchangedByTracing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full benchmark matrix twice")
 	}
 	n := 6
-	run := func(tr *obs.Tracer) (string, string) {
+	run := func(tr *obs.Tracer) ([]*Row, string, string) {
 		t.Helper()
 		cfg := dbt.DefaultConfig()
 		cfg.Tracer = tr
@@ -28,17 +29,17 @@ func TestFig4OutputUnchangedByTracing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fig4 (traced=%v): %v", tr != nil, err)
 		}
-		return FormatRows(rows, Fig4Modes), CSV(rows, Fig4Modes)
+		return rows, FormatRows(rows, Fig4Modes), CSV(rows, Fig4Modes)
 	}
 
-	tablePlain, csvPlain := run(nil)
+	rowsPlain, tablePlain, csvPlain := run(nil)
 
 	sink, err := obs.SinkFor("jsonl", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.New(obs.LevelSpec, sink)
-	tableTraced, csvTraced := run(tr)
+	rowsTraced, tableTraced, csvTraced := run(tr)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +49,22 @@ func TestFig4OutputUnchangedByTracing(t *testing.T) {
 	}
 	if csvPlain != csvTraced {
 		t.Errorf("Figure 4 CSV changed under tracing:\noff:\n%s\non:\n%s", csvPlain, csvTraced)
+	}
+	if len(rowsPlain) != len(rowsTraced) {
+		t.Fatalf("row counts differ: %d vs %d", len(rowsPlain), len(rowsTraced))
+	}
+	for i := range rowsPlain {
+		off, on := rowsPlain[i], rowsTraced[i]
+		for _, m := range Fig4Modes {
+			if off.Cycles[m] != on.Cycles[m] {
+				t.Errorf("%s (%s): cycles %d untraced, %d traced",
+					off.Name, m, off.Cycles[m], on.Cycles[m])
+			}
+			if off.Stats[m] != on.Stats[m] {
+				t.Errorf("%s (%s): stats diverge under tracing:\noff: %+v\non:  %+v",
+					off.Name, m, off.Stats[m], on.Stats[m])
+			}
+		}
 	}
 }
 

@@ -85,26 +85,7 @@ func Step(st *State, bus Bus, tm Timing, now uint64) StepResult {
 	if err != nil {
 		return StepResult{Event: fetchFault(pc, err)}
 	}
-	return stepDecoded(st, bus, tm, now, Decode(word))
-}
-
-// StepPredecoded is Step with a predecode side table: the instruction at
-// st.PC is served from pd when cached there, decoded (and cached) on
-// first touch, and fetched uncached when pc is outside pd's coverage. A
-// nil pd degrades to plain Step. Architectural behaviour is identical to
-// Step in every case — pd only removes redundant decode work.
-func StepPredecoded(st *State, bus Bus, tm Timing, now uint64, pd *Predecode) StepResult {
-	pc := st.PC
-	in, err := pd.fetch(pc, bus)
-	if err != nil {
-		return StepResult{Event: fetchFault(pc, err)}
-	}
-	return stepDecoded(st, bus, tm, now, in)
-}
-
-// stepDecoded executes one already-decoded instruction at pc == st.PC.
-func stepDecoded(st *State, bus Bus, tm Timing, now uint64, in Inst) StepResult {
-	pc := st.PC
+	in := Decode(word)
 	res := StepResult{Inst: in, Cycles: tm.BaseCPI}
 	if in.Op == OpIllegal {
 		f := trap.Newf(trap.IllegalInstruction, "illegal instruction %#08x", in.Raw)
