@@ -18,17 +18,20 @@
 // The cache has two layers: a process-wide in-memory store shared by
 // every machine with the same key (an experiment sweep translates each
 // kernel once per mode, not once per cell), and an optional on-disk
-// layer (schema ghostbusters/tcache/v1) so separate processes share
-// warm translations. Disk writes are atomic (tmp + rename) and happen
-// once per run key when a clean run published new regions; a corrupt,
-// missing or foreign file degrades to a cold run, never to an error.
+// layer so separate processes share warm translations. A disk document
+// (schema ghostbusters/tcache/v2, see codec.go) is binary: each region's
+// block in the vliw package's 64-bit syllable encoding, plus a side table
+// of the guest PCs that encoding drops. Disk writes are atomic (tmp +
+// rename) and happen once per run key when a clean run published new
+// regions; a corrupt, missing or foreign file degrades to a cold run,
+// never to an error — disk faults surface only through Cache.Err.
 package tcache
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,9 +43,9 @@ import (
 )
 
 // Schema identifies the on-disk document format. Bump it when Region or
-// the vliw.Block serialization changes incompatibly; loading rejects
-// other schemas and treats the key as cold.
-const Schema = "ghostbusters/tcache/v1"
+// the vliw.Block encoding changes incompatibly; loading rejects other
+// schemas and treats the key as cold.
+const Schema = "ghostbusters/tcache/v2"
 
 // Region is one cached translation: the compiled block (with guest PCs
 // preserved — self-modifying-code invalidation and fault attribution
@@ -51,22 +54,22 @@ const Schema = "ghostbusters/tcache/v1"
 // same *vliw.Block pointer and rebuild only the per-block dispatch
 // table, which is atomically published (see vliw.Block).
 type Region struct {
-	PC        uint64 `json:"pc"`
-	Trace     bool   `json:"trace,omitempty"`
-	NoMemSpec bool   `json:"no_mem_spec,omitempty"`
+	PC        uint64
+	Trace     bool
+	NoMemSpec bool
 
 	// Lo/Hi is the guest text extent [Lo, Hi) the region was translated
 	// from, for store-hook invalidation.
-	Lo uint64 `json:"lo"`
-	Hi uint64 `json:"hi"`
+	Lo uint64
+	Hi uint64
 
 	// Static mitigation report of the compiled code.
-	SpecLoads  int  `json:"spec_loads"`
-	RiskyLoads int  `json:"risky_loads"`
-	GuardEdges int  `json:"guard_edges"`
-	Pattern    bool `json:"pattern,omitempty"`
+	SpecLoads  int
+	RiskyLoads int
+	GuardEdges int
+	Pattern    bool
 
-	Block *vliw.Block `json:"block"`
+	Block *vliw.Block
 }
 
 // regionKey identifies a region within one run: a PC is compiled at
@@ -142,13 +145,6 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// document is the on-disk form of one key's region set.
-type document struct {
-	Schema  string    `json:"schema"`
-	Key     string    `json:"key"`
-	Regions []*Region `json:"regions"`
-}
-
 // store is the in-memory region set of one key.
 type store struct {
 	mu      sync.RWMutex
@@ -214,9 +210,10 @@ func (c *Cache) Stats() (hits, misses uint64, persisted int) {
 	return c.hits, c.misses, c.persisted
 }
 
-// path returns the document path for a key: <dir>/<image>/<mode>/<config>.json.
+// path returns the document path for a key: <dir>/<image>/<mode>/<config>.bin.
+// Documents of the JSON schema v1 were named .json and are never opened.
 func (c *Cache) path(k Key) string {
-	return filepath.Join(c.dir, k.Image, k.Mode, k.Config+".json")
+	return filepath.Join(c.dir, k.Image, k.Mode, k.Config+".bin")
 }
 
 // Run opens the per-run view for a key, loading the key's disk document
@@ -237,8 +234,10 @@ func (c *Cache) Run(k Key) *Run {
 }
 
 // load populates a fresh store from the key's disk document. Failures
-// (missing file, corrupt JSON, schema or key mismatch) leave the store
-// empty: the run is simply cold.
+// (missing file, corrupt or torn document, schema or key mismatch)
+// leave the store empty: the run is simply cold. A corrupt document is
+// reported through Err; a foreign schema version or a hash collision
+// with different key material is not a fault, and is never served.
 func (c *Cache) load(k Key, st *store) {
 	data, err := os.ReadFile(c.path(k))
 	if err != nil {
@@ -247,26 +246,20 @@ func (c *Cache) load(k Key, st *store) {
 		}
 		return
 	}
-	var doc document
-	if err := json.Unmarshal(data, &doc); err != nil {
-		c.setErr(fmt.Errorf("tcache: parsing %s: %w", c.path(k), err))
-		return
-	}
-	if doc.Schema != Schema || doc.Key != k.Full {
-		// Foreign schema version or a hash collision with different key
-		// material: never serve it.
-		return
-	}
-	for _, rg := range doc.Regions {
-		if rg.Block == nil {
-			continue
+	regions, err := decodeDocument(data, k.Full)
+	if err != nil {
+		if !errors.Is(err, errForeign) {
+			c.setErr(fmt.Errorf("tcache: parsing %s: %w", c.path(k), err))
 		}
+		return
+	}
+	for _, rg := range regions {
 		st.regions[regionKey{rg.PC, rg.Trace, rg.NoMemSpec}] = rg
 	}
 }
 
-// persist writes the key's full region set as an atomic document.
-func (c *Cache) persist(k Key, regions []*Region) {
+// sortRegions puts regions in document order: by PC, then shape.
+func sortRegions(regions []*Region) {
 	sort.Slice(regions, func(a, b int) bool {
 		ra, rb := regions[a], regions[b]
 		if ra.PC != rb.PC {
@@ -275,10 +268,14 @@ func (c *Cache) persist(k Key, regions []*Region) {
 		if ra.Trace != rb.Trace {
 			return rb.Trace
 		}
-		return rb.NoMemSpec
+		return !ra.NoMemSpec && rb.NoMemSpec
 	})
-	doc := document{Schema: Schema, Key: k.Full, Regions: regions}
-	data, err := json.Marshal(&doc)
+}
+
+// persist writes the key's full region set as an atomic document.
+func (c *Cache) persist(k Key, regions []*Region) {
+	sortRegions(regions)
+	data, err := encodeDocument(k.Full, regions)
 	if err != nil {
 		c.setErr(fmt.Errorf("tcache: encoding %s: %w", c.path(k), err))
 		return
@@ -293,7 +290,7 @@ func (c *Cache) persist(k Key, regions []*Region) {
 		c.setErr(fmt.Errorf("tcache: %w", err))
 		return
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

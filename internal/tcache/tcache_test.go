@@ -1,9 +1,10 @@
 package tcache
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ghostbusters/internal/riscv"
@@ -23,18 +24,25 @@ func testProg() *riscv.Program {
 }
 
 // testRegion builds a region with a non-trivial block so the disk
-// round trip exercises nested serialization (bundles, recoveries,
-// guest PCs).
+// round trip exercises every part of a document: bundles, recoveries,
+// a constant-pool immediate, and guest PCs that step forward, back and
+// to zero (the side table's deltas of both signs).
 func testRegion(pc uint64) *Region {
 	return &Region{
 		PC: pc, Trace: true,
-		Lo: pc, Hi: pc + 8,
+		Lo: pc - 4, Hi: pc + 8,
 		SpecLoads: 2, RiskyLoads: 1, GuardEdges: 3, Pattern: true,
 		Block: &vliw.Block{
 			EntryPC: pc,
 			Bundles: []vliw.Bundle{
-				{{Kind: vliw.KAluRI, Op: riscv.ADDI, Dst: 10, Ra: 10, Imm: 1, Rec: -1, GuestPC: pc}},
-				{{Kind: vliw.KJump, Imm: int64(pc + 8), Rec: -1, GuestPC: pc + 4}},
+				{
+					{Kind: vliw.KAluRI, Op: riscv.ADDI, Dst: 10, Ra: 10, Imm: 1, Rec: -1, GuestPC: pc},
+					{Kind: vliw.KMovI, Dst: 40, Imm: 1 << 40, Rec: -1, GuestPC: pc - 4},
+				},
+				{
+					{Kind: vliw.KChk, Tag: 3, Rec: 0, GuestPC: pc + 4},
+					{Kind: vliw.KJump, Imm: int64(pc + 8), Rec: -1},
+				},
 			},
 			Recoveries: [][]vliw.Syllable{
 				{{Kind: vliw.KJump, Imm: int64(pc), Rec: -1, GuestPC: pc}},
@@ -99,7 +107,8 @@ func TestDiskRoundTrip(t *testing.T) {
 	r1 := c1.Run(k)
 	want := testRegion(0x1000)
 	r1.Record(want)
-	r1.Record(&Region{PC: 0x1010, Lo: 0x1010, Hi: 0x1014, Block: &vliw.Block{EntryPC: 0x1010}})
+	empty := &Region{PC: 0x1010, Lo: 0x1010, Hi: 0x1014, Block: &vliw.Block{EntryPC: 0x1010}}
+	r1.Record(empty)
 	r1.Publish()
 	if err := c1.Err(); err != nil {
 		t.Fatalf("publish: %v", err)
@@ -114,15 +123,13 @@ func TestDiskRoundTrip(t *testing.T) {
 	if got == nil {
 		t.Fatal("published region not found by a fresh cache")
 	}
-	// Compare via JSON: the block's unexported dispatch-table pointer is
-	// host state, not content.
-	wantJS, _ := json.Marshal(want)
-	gotJS, _ := json.Marshal(got)
-	if string(wantJS) != string(gotJS) {
-		t.Errorf("region did not round-trip:\nwant %s\ngot  %s", wantJS, gotJS)
+	if d := RegionDiff(want, got); d != "" {
+		t.Errorf("region did not round-trip: %s", d)
 	}
-	if r2.Lookup(0x1010, false, false) == nil {
+	if got := r2.Lookup(0x1010, false, false); got == nil {
 		t.Error("second region lost in the round trip")
+	} else if d := RegionDiff(empty, got); d != "" {
+		t.Errorf("empty-block region did not round-trip: %s", d)
 	}
 	if r2.Lookup(0x1000, false, false) != nil {
 		t.Error("lookup ignores the trace bit: block-shaped probe returned the trace")
@@ -151,12 +158,26 @@ func cacheFiles(t *testing.T, dir string) []string {
 	return files
 }
 
-// Corrupt or foreign documents must degrade to a cold run, never to an
-// error or to wrong code.
+// withHeader rewrites a document's schema and key, keeping its regions.
+func withHeader(t *testing.T, doc []byte, schema, key string) []byte {
+	t.Helper()
+	d := decoder{buf: doc}
+	d.bytes()
+	d.bytes()
+	if d.err != nil {
+		t.Fatalf("document header: %v", d.err)
+	}
+	return append(appendString(appendString(nil, schema), key), d.buf...)
+}
+
+// Corrupt or foreign documents must degrade to a cold run, never to
+// wrong code. Corruption surfaces through Err; a foreign schema or key
+// is a well-formed document for someone else, and is not a fault.
 func TestLoadRejectsBadDocuments(t *testing.T) {
 	k := RunKey(testProg(), "unsafe", "cfg", "")
-	publish := func(t *testing.T) string {
-		dir := t.TempDir()
+	publish := func(t *testing.T) (dir string, doc []byte) {
+		t.Helper()
+		dir = t.TempDir()
 		c := New(dir)
 		r := c.Run(k)
 		r.Record(testRegion(0x1000))
@@ -165,60 +186,103 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 			t.Fatal(err)
 		}
 		files := cacheFiles(t, dir)
-		if len(files) != 1 {
-			t.Fatalf("expected exactly one document, found %v", files)
+		if len(files) != 1 || files[0] != DocPath(c, k) {
+			t.Fatalf("expected exactly the document %s, found %v", DocPath(c, k), files)
 		}
-		return dir
+		doc, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, doc
 	}
-	cold := func(t *testing.T, dir string) {
+	// cold writes data as the key's document and checks that a fresh
+	// cache serves nothing from it, with an Err exactly when wantErr.
+	cold := func(t *testing.T, dir string, data []byte, wantErr bool) {
 		t.Helper()
 		c := New(dir)
+		if err := os.WriteFile(DocPath(c, k), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		if c.Run(k).Lookup(0x1000, true, false) != nil {
 			t.Error("bad document served a region")
+		}
+		if err := c.Err(); (err != nil) != wantErr {
+			t.Errorf("Err() = %v, want an error: %v", err, wantErr)
 		}
 	}
 
 	t.Run("truncated", func(t *testing.T) {
-		dir := publish(t)
-		f := cacheFiles(t, dir)[0]
-		if err := os.WriteFile(f, []byte(`{"schema":"ghostbusters/tca`), 0o644); err != nil {
-			t.Fatal(err)
+		dir, doc := publish(t)
+		cold(t, dir, doc[:len(doc)/2], true)
+	})
+	t.Run("every prefix", func(t *testing.T) {
+		// A torn write can stop at any byte: no prefix may parse.
+		dir, doc := publish(t)
+		for n := 0; n < len(doc); n++ {
+			cold(t, dir, doc[:n], true)
+			if t.Failed() {
+				t.Fatalf("prefix of %d of %d bytes", n, len(doc))
+			}
 		}
-		cold(t, dir)
+	})
+	t.Run("trailing garbage", func(t *testing.T) {
+		dir, doc := publish(t)
+		cold(t, dir, append(doc, 0), true)
 	})
 	t.Run("wrong schema", func(t *testing.T) {
-		dir := publish(t)
-		f := cacheFiles(t, dir)[0]
-		doc := map[string]any{}
-		raw, _ := os.ReadFile(f)
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatal(err)
+		dir, doc := publish(t)
+		if !bytes.HasPrefix(doc, appendString(nil, Schema)) {
+			t.Fatalf("document does not open with the schema %q", Schema)
 		}
-		doc["schema"] = "ghostbusters/tcache/v0"
-		out, _ := json.Marshal(doc)
-		if err := os.WriteFile(f, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cold(t, dir)
+		cold(t, dir, withHeader(t, doc, "ghostbusters/tcache/v1", k.Full), false)
 	})
 	t.Run("foreign key", func(t *testing.T) {
 		// A document whose full (unhashed) key disagrees with the probe
 		// — the defense against path-hash collisions and stale
 		// fingerprint rules — must be ignored.
-		dir := publish(t)
-		f := cacheFiles(t, dir)[0]
-		doc := map[string]any{}
-		raw, _ := os.ReadFile(f)
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatal(err)
+		dir, doc := publish(t)
+		if !bytes.Contains(doc, []byte(k.Full)) {
+			t.Fatalf("document does not carry the full key %q", k.Full)
 		}
-		doc["key"] = "someone|else|entirely|"
-		out, _ := json.Marshal(doc)
-		if err := os.WriteFile(f, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cold(t, dir)
+		cold(t, dir, withHeader(t, doc, Schema, "someone|else|entirely|"), false)
 	})
+}
+
+// A JSON document left behind by the v1 schema sits at a different
+// file name: it is never opened, so it costs neither a region nor an
+// error, and a v2 document beside it is served as usual.
+func TestLoadIgnoresV1Document(t *testing.T) {
+	dir := t.TempDir()
+	k := RunKey(testProg(), "unsafe", "cfg", "")
+	c := New(dir)
+	v1 := strings.TrimSuffix(DocPath(c, k), ".bin") + ".json"
+	if v1 == DocPath(c, k) {
+		t.Fatalf("document path %s does not end in .bin", v1)
+	}
+	if err := os.MkdirAll(filepath.Dir(v1), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := `{"schema":"ghostbusters/tcache/v1","key":"` + k.Full + `","regions":[{"pc":4096,"trace":true,"lo":4096,"hi":4104,"block":{}}]}`
+	if err := os.WriteFile(v1, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c.Run(k).Lookup(0x1000, true, false) != nil {
+		t.Error("a v1 JSON document served a region")
+	}
+	if err := c.Err(); err != nil {
+		t.Errorf("a v1 JSON document raised an error: %v", err)
+	}
+
+	r := c.Run(k)
+	r.Record(testRegion(0x1000))
+	r.Publish()
+	warm := New(dir)
+	if warm.Run(k).Lookup(0x1000, true, false) == nil {
+		t.Error("v2 document beside a v1 leftover was not served")
+	}
+	if err := warm.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // A directory-less cache is a pure in-memory store: same semantics,

@@ -3,6 +3,7 @@ package vliw
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"ghostbusters/internal/riscv"
 )
@@ -12,6 +13,11 @@ import (
 // per-block constant pool (the long-immediate mechanism of wide VLIWs).
 // The speculative memory operations keep distinct opcodes in the encoded
 // form, as the paper requires of the VLIW ISA.
+//
+// The encoding has two users: Config.VerifyEncoding in the dbt package
+// executes every block in its decoded form, and the persistent
+// translation cache (internal/tcache) stores blocks on disk in this form,
+// which is why DecodeBlock treats its input as untrusted.
 //
 // Word layout (LSB first):
 //
@@ -25,7 +31,9 @@ import (
 //	[47]    immPool   (1 = imm is a pool index)
 //	[48:64) imm16 / pool index
 //
-// GuestPC is debug metadata and is not part of the binary encoding.
+// GuestPC is not part of the binary encoding. The translation cache
+// keeps it in a side table next to the block image, because
+// self-modifying-code invalidation and fault attribution need it.
 const blockMagic = 0x3130574C49564247 // "GBVLIW01", little-endian
 
 // EncodeBlock serialises a block to its binary form.
@@ -68,6 +76,13 @@ func EncodeBlock(b *Block) ([]byte, error) {
 	width := 0
 	if len(b.Bundles) > 0 {
 		width = len(b.Bundles[0])
+	}
+	if width > NumRegs || len(b.Bundles) > math.MaxUint32 || len(b.Recoveries) > math.MaxUint32 {
+		return nil, fmt.Errorf("vliw: block shape %d bundles x %d, %d recoveries out of range",
+			len(b.Bundles), width, len(b.Recoveries))
+	}
+	if b.GuestInsts < 0 || b.GuestInsts > math.MaxUint32 {
+		return nil, fmt.Errorf("vliw: guest instruction count %d out of range", b.GuestInsts)
 	}
 	for i, bun := range b.Bundles {
 		if len(bun) != width {
@@ -112,94 +127,116 @@ func EncodeBlock(b *Block) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeBlock parses the binary form produced by EncodeBlock.
+// DecodeBlock parses the binary form produced by EncodeBlock. The image
+// may come from disk (the persistent translation cache), so every length
+// is checked before it is used, in arithmetic that cannot overflow: a
+// corrupt or hostile image yields an error, never a panic or a huge
+// allocation. Any block DecodeBlock accepts re-encodes to an image that
+// decodes to the same block.
 func DecodeBlock(data []byte) (*Block, error) {
 	if len(data)%8 != 0 || len(data) < 6*8 {
 		return nil, fmt.Errorf("vliw: truncated block image")
 	}
-	words := make([]uint64, len(data)/8)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(data[8*i:])
+	n := len(data) / 8
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
+	if word(0) != blockMagic {
+		return nil, fmt.Errorf("vliw: bad magic %#x", word(0))
 	}
-	if words[0] != blockMagic {
-		return nil, fmt.Errorf("vliw: bad magic %#x", words[0])
+	b := &Block{EntryPC: word(1), FallPC: word(2)}
+	b.GuestInsts = int(uint32(word(3)))
+	width := word(3) >> 32
+	nBundles := uint64(uint32(word(4)))
+	nRec := word(4) >> 32
+	if width > NumRegs || (width == 0 && nBundles > 0) {
+		return nil, fmt.Errorf("vliw: bad bundle width %d", width)
 	}
-	b := &Block{EntryPC: words[1], FallPC: words[2]}
-	b.GuestInsts = int(uint32(words[3]))
-	width := int(words[3] >> 32)
-	nBundles := int(uint32(words[4]))
-	nRec := int(words[4] >> 32)
-
-	need := 5 + nBundles*width
-	pos := 5
+	// width <= 64 and nBundles < 2^32, so the product cannot overflow.
+	if nBundles*width > uint64(n-5) {
+		return nil, fmt.Errorf("vliw: truncated bundle table")
+	}
+	bodyEnd := 5 + int(nBundles*width)
 
 	// The pool sits at the end; locate it by walking the recoveries.
-	// First pass: compute body length.
-	rp := need
-	for r := 0; r < nRec; r++ {
-		if rp >= len(words) {
+	// Each step advances rp by at least one word and is bounded by n,
+	// which also bounds nRec before anything is allocated from it.
+	rp := bodyEnd
+	for r := uint64(0); r < nRec; r++ {
+		if rp >= n || word(rp) >= uint64(n-rp) {
 			return nil, fmt.Errorf("vliw: truncated recovery table")
 		}
-		rp += 1 + int(words[rp])
+		rp += 1 + int(word(rp))
 	}
-	if rp >= len(words) {
+	if rp >= n {
 		return nil, fmt.Errorf("vliw: missing constant pool")
 	}
-	poolLen := int(words[rp])
-	if rp+1+poolLen != len(words) {
+	poolLen := word(rp)
+	if poolLen != uint64(n-rp-1) {
 		return nil, fmt.Errorf("vliw: pool length mismatch")
 	}
-	pool := words[rp+1:]
+	pool := data[8*(rp+1):]
 
-	decSyll := func(w uint64) (Syllable, error) {
-		var s Syllable
+	decSyll := func(w uint64, s *Syllable) error {
 		s.Kind = Kind(w & 0x1F)
+		if s.Kind > KCommit {
+			return fmt.Errorf("vliw: bad kind %d", s.Kind)
+		}
 		s.Op = riscv.Op(uint8(w >> 5 & 0xFF))
 		s.Dst = uint8(w >> 13 & 0x3F)
 		s.Ra = uint8(w >> 19 & 0x3F)
 		s.Rb = uint8(w >> 25 & 0x3F)
 		s.Tag = uint8(w >> 31 & 0xF)
 		s.Rec = int16(w>>35&0xFFF) - 1
+		if s.Rec >= 1<<12-2 {
+			return fmt.Errorf("vliw: recovery index %d out of range", s.Rec)
+		}
 		idx := uint16(w >> 48)
 		if w>>47&1 == 1 {
-			if int(idx) >= len(pool) {
-				return s, fmt.Errorf("vliw: pool index %d out of range", idx)
+			if uint64(idx) >= poolLen {
+				return fmt.Errorf("vliw: pool index %d out of range", idx)
 			}
-			s.Imm = int64(pool[idx])
+			s.Imm = int64(binary.LittleEndian.Uint64(pool[8*int(idx):]))
 		} else {
 			s.Imm = int64(int16(idx))
 		}
-		if s.Kind > KCommit {
-			return s, fmt.Errorf("vliw: bad kind %d", s.Kind)
-		}
-		return s, nil
+		return nil
 	}
 
-	for i := 0; i < nBundles; i++ {
-		bun := make(Bundle, width)
-		for j := 0; j < width; j++ {
-			s, err := decSyll(words[pos])
-			if err != nil {
+	// One backing array holds every syllable, bundles first; the walk
+	// above sized it (the recovery words minus their length prefixes).
+	sylls := make([]Syllable, rp-5-int(nRec))
+	pos := 5
+	take := func(m int) ([]Syllable, error) {
+		part := sylls[:m:m]
+		sylls = sylls[m:]
+		for j := range part {
+			if err := decSyll(word(pos), &part[j]); err != nil {
 				return nil, err
 			}
-			bun[j] = s
 			pos++
 		}
-		b.Bundles = append(b.Bundles, bun)
+		return part, nil
 	}
-	for r := 0; r < nRec; r++ {
-		n := int(words[pos])
-		pos++
-		rec := make([]Syllable, n)
-		for j := 0; j < n; j++ {
-			s, err := decSyll(words[pos])
-			if err != nil {
-				return nil, err
-			}
-			rec[j] = s
-			pos++
+	if nBundles > 0 {
+		b.Bundles = make([]Bundle, nBundles)
+	}
+	for i := range b.Bundles {
+		bun, err := take(int(width))
+		if err != nil {
+			return nil, err
 		}
-		b.Recoveries = append(b.Recoveries, rec)
+		b.Bundles[i] = bun
+	}
+	if nRec > 0 {
+		b.Recoveries = make([][]Syllable, nRec)
+	}
+	for r := range b.Recoveries {
+		m := int(word(pos))
+		pos++
+		rec, err := take(m)
+		if err != nil {
+			return nil, err
+		}
+		b.Recoveries[r] = rec
 	}
 	return b, nil
 }

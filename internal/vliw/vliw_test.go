@@ -1,7 +1,9 @@
 package vliw
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -642,6 +644,65 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	if _, err := DecodeBlock(data[:len(data)-8]); err == nil {
 		t.Error("missing pool accepted")
 	}
+	// Length fields chosen to overflow naive index arithmetic: a
+	// recovery length of 2^63-1 once wrapped the recovery walk to a
+	// negative index, and a huge bundle count times the width wrapped
+	// the bundle table bound.
+	for name, words := range map[string][]uint64{
+		"recovery length": {blockMagic, 0, 0, 0, 1 << 32, 0x7FFF_FFFF_FFFF_FFFF, 0},
+		"bundle table":    {blockMagic, 0, 0, 64 << 32, 0xFFFF_FFFF, 0},
+		"width 0":         {blockMagic, 0, 0, 0, 1, 0},
+		"width > NumRegs": {blockMagic, 0, 0, (NumRegs + 1) << 32, 0, 0},
+		"pool length":     {blockMagic, 0, 0, 0, 0, 1<<64 - 1},
+		"recovery index":  {blockMagic, 0, 0, 1 << 32, 1, uint64(KChk) | 0xFFF<<35, 0},
+	} {
+		img := make([]byte, 8*len(words))
+		for i, w := range words {
+			binary.LittleEndian.PutUint64(img[8*i:], w)
+		}
+		if _, err := DecodeBlock(img); err == nil {
+			t.Errorf("%s: corrupt image accepted", name)
+		}
+	}
+}
+
+// FuzzDecodeBlock feeds DecodeBlock arbitrary images (it reads disk
+// bytes through the translation cache): it must never panic, and any
+// block it accepts must survive encode → decode unchanged.
+func FuzzDecodeBlock(f *testing.F) {
+	for _, blk := range []*Block{
+		{},
+		{EntryPC: 0x100, FallPC: 0x120, GuestInsts: 3,
+			Bundles: []Bundle{
+				{{Kind: KLoadS, Op: riscv.LD, Dst: 40, Ra: 5, Imm: 8, Tag: 1, Rec: -1}, {Kind: KChk, Tag: 1, Rec: 0}},
+				{{Kind: KMovI, Dst: 6, Imm: -1 << 40, Rec: -1}, {Kind: KJump, Imm: 0x12345678, Rec: -1}},
+			},
+			Recoveries: [][]Syllable{{{Kind: KLoad, Op: riscv.LD, Dst: 40, Ra: 5, Imm: 8, Rec: -1}}, {}},
+		},
+	} {
+		img, err := EncodeBlock(blk)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		blk, err := DecodeBlock(data)
+		if err != nil {
+			return
+		}
+		img, err := EncodeBlock(blk)
+		if err != nil {
+			t.Fatalf("accepted block does not re-encode: %v", err)
+		}
+		again, err := DecodeBlock(img)
+		if err != nil {
+			t.Fatalf("re-encoded block does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(blk, again) {
+			t.Fatalf("block changed in an encode → decode round trip:\n%v\n%v", blk, again)
+		}
+	})
 }
 
 func TestBlockString(t *testing.T) {
