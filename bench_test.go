@@ -175,19 +175,14 @@ func BenchmarkAblation_IssueWidth(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", wname, mode), func(b *testing.B) {
 				cfg := dbt.DefaultConfig()
 				cfg.Core = wcfg
-				cfg.Mitigation = mode
 				k, _ := polybench.ByName("gemm")
 				var cycles uint64
 				for i := 0; i < b.N; i++ {
-					spec, err := k.Make(k.DefaultN)
+					row, err := harness.RunKernel(k, k.DefaultN, cfg, []core.Mode{mode})
 					if err != nil {
 						b.Fatal(err)
 					}
-					run, err := harness.RunSpec(spec, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = run.Cycles
+					cycles = row.Cycles[mode]
 				}
 				b.ReportMetric(float64(cycles), "guest-cycles/op")
 			})
@@ -233,19 +228,14 @@ func BenchmarkAblation_TraceLen(b *testing.B) {
 				cfg := dbt.DefaultConfig()
 				cfg.MaxTraceInsts = v.insts
 				cfg.MaxUnroll = v.unroll
-				cfg.Mitigation = mode
 				k, _ := polybench.ByName("gemm")
 				var cycles uint64
 				for i := 0; i < b.N; i++ {
-					spec, err := k.Make(k.DefaultN)
+					row, err := harness.RunKernel(k, k.DefaultN, cfg, []core.Mode{mode})
 					if err != nil {
 						b.Fatal(err)
 					}
-					run, err := harness.RunSpec(spec, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = run.Cycles
+					cycles = row.Cycles[mode]
 				}
 				b.ReportMetric(float64(cycles), "guest-cycles/op")
 			})
@@ -271,7 +261,7 @@ func BenchmarkAblation_PoisonAnalysis(b *testing.B) {
 	blk := build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := core.Analyze(blk)
+		rep, _ := core.AnalyzePins(blk, nil)
 		if !rep.PatternFound() {
 			b.Fatal("pattern not found")
 		}

@@ -7,8 +7,10 @@
 // ghostbusters mode — the inserted guard edges rendered as dashed red
 // control dependencies.
 //
-//	gbdump [-mode unsafe|ghostbusters|fence|nospec] [-dot addr]
+//	gbdump [-mode M] [-dot addr]
 //	       [-encode] program.s
+//
+// M is a mitigation mode; gbdump -h lists them all.
 package main
 
 import (
@@ -23,7 +25,7 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "unsafe", "mitigation mode")
+	mode := flag.String("mode", "unsafe", "mitigation mode, one of "+fmt.Sprint(ghostbusters.AllModes()))
 	dotAt := flag.String("dot", "", "emit the IR DFG at this guest address (hex) as Graphviz")
 	encode := flag.Bool("encode", false, "also report binary-encoded block sizes")
 	flag.Parse()

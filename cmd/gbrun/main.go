@@ -1,12 +1,14 @@
 // Command gbrun assembles and runs an rv64im guest program on the
 // simulated DBT-based processor:
 //
-//	gbrun [-mode unsafe|ghostbusters|fence|nospec] [-width 2|4|8]
+//	gbrun [-mode M] [-width 2|4|8]
 //	      [-interp] [-stats] [-json] [-trace] [-traceout file]
 //	      [-trace-format text|jsonl|perfetto] [-profile]
 //	      [-audit] [-audit-json file]
 //	      [-detect] [-detect-json file] [-spans file]
 //	      [-tcache] [-tcache-dir dir] program.s
+//
+// M is a mitigation mode; gbrun -h lists them all.
 //
 // The exit status is the guest's exit code when the guest runs to
 // completion. Failures use distinct codes:
@@ -89,7 +91,7 @@ const (
 )
 
 func main() {
-	mode := flag.String("mode", "unsafe", "mitigation: unsafe | ghostbusters | fence | nospec")
+	mode := flag.String("mode", "unsafe", "mitigation mode, one of "+fmt.Sprint(ghostbusters.AllModes()))
 	width := flag.Int("width", 4, "VLIW issue width: 2, 4 or 8")
 	interp := flag.Bool("interp", false, "interpreter only (no translation)")
 	stats := flag.Bool("stats", false, "print machine statistics")

@@ -61,7 +61,7 @@ import (
 
 func main() {
 	variant := flag.String("variant", "", "v1 | v4 (empty = full matrix)")
-	mode := flag.String("mode", "unsafe", "mitigation mode")
+	mode := flag.String("mode", "unsafe", "mitigation mode, one of "+fmt.Sprint(ghostbusters.AllModes()))
 	secretHex := flag.String("secret", "", "secret bytes in hex (empty = random)")
 	protect := flag.Bool("protect", false, "read-protect the secret region")
 	lineflush := flag.Bool("lineflush", false, "line-by-line cache flush (paper's RISC-V variant)")

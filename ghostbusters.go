@@ -64,7 +64,7 @@ const (
 	ModeNoSpeculation = core.ModeNoSpeculation
 
 	// ModeLoadFence pins every load (the blanket LOADLFENCE strawman,
-	// ported into the mitigation-pass pipeline).
+	// ported from the related work).
 	ModeLoadFence = core.ModeLoadFence
 	// ModeSFIClamp masks each risky address with an inserted predicate
 	// chain (Venkman/Swivel-style SFI); the access keeps speculating
@@ -303,9 +303,8 @@ type Row = harness.Row
 // Fig4Modes are the modes the evaluation compares.
 var Fig4Modes = harness.Fig4Modes
 
-// AllModes returns every mitigation mode registered in the pass
-// pipeline, in mode-value order (the four paper modes plus the ported
-// mitigation zoo).
+// AllModes returns every mitigation mode, in mode-value order (the
+// four paper modes plus the ported mitigation zoo).
 func AllModes() []Mode { return harness.AllModes() }
 
 // Runner is the parallel experiment engine: it fans a (benchmark x

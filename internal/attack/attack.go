@@ -426,10 +426,10 @@ type MatrixEntry struct {
 	Result  *Result
 }
 
-// RunMatrix evaluates both attacks under every registered mitigation
-// mode with the base machine configuration. The mode list derives from
-// the mitigation-pass registry, so a newly registered pipeline appears
-// in the matrix automatically.
+// RunMatrix evaluates both attacks under every mitigation mode with the
+// base machine configuration. The mode list derives from the mitigation
+// table (pipeline.Modes), so a newly added mode appears in the matrix
+// automatically.
 func RunMatrix(base dbt.Config, params Params) ([]MatrixEntry, error) {
 	var out []MatrixEntry
 	for _, v := range []Variant{V1, V4} {

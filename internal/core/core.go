@@ -1,6 +1,6 @@
-// Package core implements the paper's primary contribution: the
-// GhostBusters mitigation of Spectre attacks on a DBT-based processor
-// (Rokicki, DATE 2020, Section IV).
+// Package core implements the analysis at the heart of the paper's
+// primary contribution: the GhostBusters mitigation of Spectre attacks
+// on a DBT-based processor (Rokicki, DATE 2020, Section IV).
 //
 // Before instruction scheduling, the DBT engine runs a poisoning
 // analysis over the data-flow graph of the block it is about to
@@ -15,13 +15,15 @@
 //     Spectre leak pattern: it would push a secret-dependent line into
 //     the data cache while misspeculating.
 //
-// Where the pattern is found, the mitigation inserts a control
-// dependency between the risky access and the instructions that cause
-// the speculation (the guards), pinning only that access — everything
-// else in the block keeps speculating, which is why the countermeasure
-// is nearly free. The package also implements the two baselines the
-// paper compares against: a fence at the guard (no speculation may cross
-// it) and turning speculation off entirely.
+// AnalyzePins returns what the analysis found: the report plus, for
+// every risky access, the guards (the instructions causing the
+// speculation) it must be ordered after. PinRisky is the paper's
+// fine-grained countermeasure for one access: a control dependency
+// from each guard, pinning only that access — everything else in the
+// block keeps speculating, which is why the countermeasure is nearly
+// free. What each Mode does with the analysis (pin the risky accesses,
+// fence the guards, turn speculation off, ...) is one function per
+// mode in internal/core/pipeline.
 //
 // Because a DBT engine only speculates inside one IR block, the whole
 // analysis is block-local (contrast with whole-binary tools like oo7).
@@ -30,6 +32,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"ghostbusters/internal/ir"
 )
@@ -54,9 +57,9 @@ const (
 	// (the paper's naive countermeasure, "No speculation" in Fig. 4).
 	ModeNoSpeculation
 
-	// The modes below are alternative mitigations ported into the pass
-	// pipeline (internal/core/pipeline) from the related work; they are
-	// not part of the paper's Figure 4 comparison.
+	// The modes below are alternative mitigations ported from the
+	// related work (internal/core/pipeline); they are not part of the
+	// paper's Figure 4 comparison.
 
 	// ModeLoadFence pins every load (no load ever executes
 	// speculatively) — the blanket LOADLFENCE strawman: analysis-free,
@@ -74,7 +77,8 @@ const (
 	ModeFenceMin
 )
 
-var modeNames = map[Mode]string{
+// modeNames is the ordered mode table: index = Mode value.
+var modeNames = [...]string{
 	ModeUnsafe:        "unsafe",
 	ModeGhostBusters:  "ghostbusters",
 	ModeFence:         "fence",
@@ -85,8 +89,8 @@ var modeNames = map[Mode]string{
 }
 
 func (m Mode) String() string {
-	if s, ok := modeNames[m]; ok {
-		return s
+	if int(m) < len(modeNames) {
+		return modeNames[m]
 	}
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
@@ -95,10 +99,10 @@ func (m Mode) String() string {
 func ParseMode(s string) (Mode, error) {
 	for m, n := range modeNames {
 		if n == s {
-			return m, nil
+			return Mode(m), nil
 		}
 	}
-	return 0, fmt.Errorf("core: unknown mitigation mode %q (want unsafe|ghostbusters|fence|nospec|loadfence|sfi-clamp|fence-min)", s)
+	return 0, fmt.Errorf("core: unknown mitigation mode %q (want %s)", s, strings.Join(modeNames[:], "|"))
 }
 
 // Report describes what the analysis found and changed in one block.
@@ -143,25 +147,6 @@ func (g guardSet) union(o guardSet) guardSet {
 	return g
 }
 
-// Analyze runs the poison analysis without modifying the block. It
-// returns the detection report (used by ModeUnsafe callers that still
-// want statistics, by tests, and by the ablation benchmarks).
-func Analyze(b *ir.Block) Report {
-	rep, _ := analyze(b, nil)
-	return rep
-}
-
-// AnalyzeAudited is Analyze plus the per-block audit report: a
-// provenance chain for every poisoned node and every risky access. The
-// audit costs one extra allocation pass over the block and is only
-// paid when asked for — the plain Analyze/Apply entry points hand
-// analyze a nil collector and skip all provenance bookkeeping.
-func AnalyzeAudited(b *ir.Block) (Report, *ir.AuditReport) {
-	aud := &ir.AuditReport{}
-	rep, _ := analyze(b, aud)
-	return rep, aud
-}
-
 // analyze computes the report plus, for every risky load, the guard set
 // that must order it. With a non-nil aud it additionally records, for
 // every instruction the poison reaches, where the poison came from —
@@ -191,7 +176,20 @@ func analyze(b *ir.Block, aud *ir.AuditReport) (Report, map[int]guardSet) {
 	// moved before a conditional branch or load instructions moved
 	// before a memory write").
 	selfGuards := make([]guardSet, len(b.Insts))
+	// pinnedBy[i]: sources of guard edges an earlier mitigation gave
+	// load i (nil until a block carries any).
+	var pinnedBy map[int]guardSet
 	for _, e := range b.Edges {
+		if e.Kind == ir.EdgeGuard { // PinRisky's edges: hard, into loads
+			if pinnedBy == nil {
+				pinnedBy = make(map[int]guardSet)
+			}
+			if pinnedBy[e.To] == nil {
+				pinnedBy[e.To] = make(guardSet)
+			}
+			pinnedBy[e.To][e.From] = struct{}{}
+			continue
+		}
 		if !e.Relaxable {
 			continue
 		}
@@ -243,6 +241,14 @@ func analyze(b *ir.Block, aud *ir.AuditReport) (Report, map[int]guardSet) {
 				provSrc[i], provPred[i] = i, -1 // poison originates here
 			}
 			poison[i] = p
+			continue
+		}
+		if in.IsLoad() && len(p) > 0 && p.within(pinnedBy[i]) {
+			// A risky load an earlier application already pinned
+			// behind every guard of its address: like a freshly pinned
+			// one, it reads architecturally-correct data. Without this
+			// a second application would find its dependents risky.
+			poison[i] = nil
 			continue
 		}
 		if aud != nil && len(p) > 0 {
@@ -331,6 +337,16 @@ func guardRefs(b *ir.Block, g guardSet) []ir.GuardRef {
 	return out
 }
 
+// within reports whether every member of g is in o.
+func (g guardSet) within(o guardSet) bool {
+	for k := range g {
+		if _, ok := o[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 func sortedKeys(g guardSet) []int {
 	out := make([]int, 0, len(g))
 	for k := range g {
@@ -340,71 +356,12 @@ func sortedKeys(g guardSet) []int {
 	return out
 }
 
-// Apply runs the mitigation for the selected mode, modifying the block's
-// edges in place, and returns the report.
-//
-//   - ModeUnsafe: detection only (report), no changes.
-//   - ModeGhostBusters: each risky load is made non-speculative
-//     (PinInto) and receives a hard guard edge from every instruction
-//     that caused the poisoning — the paper's fine-grained control
-//     dependency (Fig. 3C).
-//   - ModeFence: all speculation across each implicated guard is
-//     disabled (PinFrom) — coarse fence semantics.
-//   - ModeNoSpeculation: every relaxable edge is pinned; no analysis
-//     needed, but the detection report is still returned for symmetry.
-func Apply(b *ir.Block, mode Mode) Report {
-	return applyWith(b, mode, nil)
-}
-
-// ApplyAudited is Apply plus the audit report. In ghostbusters mode
-// the report's pinned chains are backed by the guard edges Apply just
-// inserted, so aud.Verify(b, true) holds on the returned block; other
-// modes keep the same chains as explanations of what the analysis
-// detected (and, for fence/nospec, pinned by coarser means).
-func ApplyAudited(b *ir.Block, mode Mode) (Report, *ir.AuditReport) {
-	aud := &ir.AuditReport{}
-	rep := applyWith(b, mode, aud)
-	return rep, aud
-}
-
-// ApplyInto is Apply writing the audit into a caller-owned report (nil
-// aud skips all provenance bookkeeping). The pass pipeline uses it so
-// one AuditReport spans every pass applied to the block.
-func ApplyInto(b *ir.Block, mode Mode, aud *ir.AuditReport) Report {
-	return applyWith(b, mode, aud)
-}
-
-func applyWith(b *ir.Block, mode Mode, aud *ir.AuditReport) Report {
-	if mode == ModeNoSpeculation {
-		rep, _ := analyze(b, aud)
-		b.PinAll()
-		return rep
-	}
-	rep, pins := analyze(b, aud)
-	switch mode {
-	case ModeUnsafe:
-		// report only
-	case ModeGhostBusters:
-		for _, load := range rep.RiskyLoads {
-			// Guard order must be deterministic: b.Edges order decides
-			// gbdump -dot bytes and every audit guard-edge scan.
-			rep.GuardEdges += PinRisky(b, load, sortedKeys(pins[load]))
-		}
-	case ModeFence:
-		for _, g := range rep.Guards {
-			b.PinFrom(g)
-		}
-	}
-	if aud != nil {
-		aud.GuardEdges = rep.GuardEdges
-	}
-	return rep
-}
-
 // AnalyzePins runs the poison analysis and additionally returns, for
 // every risky load, the sorted guard list the mitigation must order it
-// after. aud may be nil (no provenance bookkeeping). This is the
-// entry point the pass pipeline builds alternative mitigations on.
+// after. aud may be nil (no provenance bookkeeping); otherwise it
+// receives a provenance chain for every poisoned node and every risky
+// access. Every mitigation mode in internal/core/pipeline is built on
+// this one entry point.
 func AnalyzePins(b *ir.Block, aud *ir.AuditReport) (Report, map[int][]int) {
 	rep, pins := analyze(b, aud)
 	out := make(map[int][]int, len(pins))

@@ -6,76 +6,43 @@ import (
 	"ghostbusters/internal/riscv"
 )
 
-// The built-in pipelines. The four legacy modes wrap core.Apply so the
-// pipeline path stays byte-identical with the seed behaviour (the
-// differential tests and the fig4 byte-identity gate rely on it); the
-// ported mitigations are implemented as native passes.
-func init() {
-	Register(&Pipeline{
-		Mode: core.ModeUnsafe, Name: "unsafe",
-		Mechanism: "detection only; full speculation",
-		Lineage:   "Rokicki DATE'20 baseline",
-		Fig4:      true,
-		Passes:    []Pass{legacyPass("detect", core.ModeUnsafe)},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeGhostBusters, Name: "ghostbusters",
-		Mechanism: "pin each risky access behind fine-grained guard edges",
-		Lineage:   "Rokicki DATE'20 (the paper's contribution)",
-		Fig4:      true,
-		Passes:    []Pass{legacyPass("ghostbusters", core.ModeGhostBusters)},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeFence, Name: "fence",
-		Mechanism: "forbid all speculation across each implicated guard",
-		Lineage:   "Rokicki DATE'20 fence baseline (lfence-on-detect)",
-		Fig4:      true,
-		Passes:    []Pass{legacyPass("fence", core.ModeFence)},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeNoSpeculation, Name: "nospec",
-		Mechanism: "disable both speculation mechanisms globally",
-		Lineage:   "Rokicki DATE'20 no-speculation baseline",
-		Fig4:      true,
-		Passes:    []Pass{legacyPass("nospec", core.ModeNoSpeculation)},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeLoadFence, Name: "loadfence",
-		Mechanism: "pin every load; no load ever executes speculatively",
-		Lineage:   "blanket LOADLFENCE strawman (Bălucea & Irofti catalog)",
-		Passes:    []Pass{{Name: "loadfence", Apply: loadFence}},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeSFIClamp, Name: "sfi-clamp",
-		Mechanism: "mask risky addresses with an inserted predicate chain",
-		Lineage:   "Venkman/Swivel SFI, SLH-style masking",
-		Passes:    []Pass{{Name: "sfi-clamp", Apply: sfiClamp}},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeFenceMin, Name: "fence-min",
-		Mechanism: "min-cut pin placement over the poison data-flow graph",
-		Lineage:   "Blade (Vassena et al. POPL'21)",
-		Passes:    []Pass{{Name: "fence-min", Apply: fenceMin}},
-	})
+// detectOnly runs the analysis for its report and changes nothing.
+func detectOnly(b *ir.Block, aud *ir.AuditReport) core.Report {
+	rep, _ := core.AnalyzePins(b, aud)
+	return rep
 }
 
-// legacyPass wraps one core.Apply mode as a single pipeline pass.
-func legacyPass(name string, mode core.Mode) Pass {
-	return Pass{Name: name, Apply: func(b *ir.Block, aud *ir.AuditReport) PassReport {
-		before := relaxableEdges(b)
-		rep := core.ApplyInto(b, mode, aud)
-		return PassReport{Report: rep, PinnedEdges: before - relaxableEdges(b)}
-	}}
-}
-
-func relaxableEdges(b *ir.Block) int {
-	n := 0
-	for _, e := range b.Edges {
-		if e.Relaxable {
-			n++
-		}
+// ghostBusters makes each risky load non-speculative and gives it a
+// hard guard edge from every instruction that caused the poisoning:
+// the paper's fine-grained control dependency (Fig. 3C). In this mode
+// the audit's pinned chains are backed by those edges, so
+// aud.Verify(b, true) holds on the mitigated block.
+func ghostBusters(b *ir.Block, aud *ir.AuditReport) core.Report {
+	rep, pins := core.AnalyzePins(b, aud)
+	for _, load := range rep.RiskyLoads {
+		// pins holds sorted guard lists: b.Edges order decides gbdump
+		// -dot bytes and every audit guard-edge scan.
+		rep.GuardEdges += core.PinRisky(b, load, pins[load])
 	}
-	return n
+	return rep
+}
+
+// fence disables all speculation across each implicated guard: coarse
+// fence semantics where the pattern is found, nothing elsewhere.
+func fence(b *ir.Block, aud *ir.AuditReport) core.Report {
+	rep, _ := core.AnalyzePins(b, aud)
+	for _, g := range rep.Guards {
+		b.PinFrom(g)
+	}
+	return rep
+}
+
+// noSpec pins every relaxable edge. It needs no analysis, but the
+// report is still returned for symmetry.
+func noSpec(b *ir.Block, aud *ir.AuditReport) core.Report {
+	rep, _ := core.AnalyzePins(b, aud)
+	b.PinAll()
+	return rep
 }
 
 // loadFence pins every load with a relaxable incoming edge: no load
@@ -83,21 +50,19 @@ func relaxableEdges(b *ir.Block) int {
 // Spectre pattern cannot arise. ALU work keeps speculating, which
 // keeps it cheaper than nospec. The detection analysis still runs for
 // the report (and the audit explanation of what would have leaked).
-func loadFence(b *ir.Block, aud *ir.AuditReport) PassReport {
+func loadFence(b *ir.Block, aud *ir.AuditReport) core.Report {
 	rep, _ := core.AnalyzePins(b, aud)
-	pr := PassReport{Report: rep}
 	for k := range b.Edges {
 		e := &b.Edges[k]
 		if e.Relaxable && b.Insts[e.To].IsLoad() {
 			e.Relaxable = false
-			pr.PinnedEdges++
 		}
 	}
-	return pr
+	return rep
 }
 
 // sfiClamp rewrites each risky access to use a clamped address instead
-// of pinning it: for every guard branch the pass materialises the
+// of pinning it: for every guard branch the mode materialises the
 // fall-through predicate from the branch's own operands, ANDs the
 // predicates together, expands the result to an all-ones/all-zero mask
 // (mask = 0 - p) and masks the access's address base with it. On the
@@ -111,9 +76,8 @@ func loadFence(b *ir.Block, aud *ir.AuditReport) PassReport {
 // hidden registers, are never committed, and mark an already-clamped
 // access for idempotence. Accesses guarded by a store (the v4 pattern —
 // no predicate to materialise) fall back to ghostbusters pinning.
-func sfiClamp(b *ir.Block, aud *ir.AuditReport) PassReport {
+func sfiClamp(b *ir.Block, aud *ir.AuditReport) core.Report {
 	rep, pins := core.AnalyzePins(b, aud)
-	pr := PassReport{Report: rep}
 
 	var masked []int // risky loads to clamp, program order
 	for _, load := range rep.RiskyLoads {
@@ -123,7 +87,7 @@ func sfiClamp(b *ir.Block, aud *ir.AuditReport) PassReport {
 		case branchGuardsOnly(b, pins[load]):
 			masked = append(masked, load)
 		default:
-			pr.Report.GuardEdges += core.PinRisky(b, load, pins[load])
+			rep.GuardEdges += core.PinRisky(b, load, pins[load])
 		}
 	}
 
@@ -138,11 +102,10 @@ func sfiClamp(b *ir.Block, aud *ir.AuditReport) PassReport {
 		// The access now reads the clamped address (the chain's final
 		// AND, immediately before the shifted load).
 		b.Insts[load+len(chain)].A = ir.FromInst(load + len(chain) - 1)
-		pr.InsertedInsts += len(chain)
 		ins = append(ins, insertion{at: load, n: len(chain)})
 	}
 	if len(ins) == 0 {
-		return pr
+		return rep
 	}
 
 	// InsertInsts renumbered the block; renumber the report and audit
@@ -163,9 +126,9 @@ func sfiClamp(b *ir.Block, aud *ir.AuditReport) PassReport {
 			xs[i] = remap(xs[i])
 		}
 	}
-	remapAll(pr.Report.Poisoned)
-	remapAll(pr.Report.RiskyLoads)
-	remapAll(pr.Report.Guards)
+	remapAll(rep.Poisoned)
+	remapAll(rep.RiskyLoads)
+	remapAll(rep.Guards)
 	if aud != nil {
 		wasMasked := make(map[int]bool, len(masked))
 		for _, l := range masked {
@@ -174,7 +137,7 @@ func sfiClamp(b *ir.Block, aud *ir.AuditReport) PassReport {
 		remapChains(aud.Poisoned, remap, nil)
 		remapChains(aud.Pinned, remap, wasMasked)
 	}
-	return pr
+	return rep
 }
 
 // remapChains renumbers provenance chains after instruction insertion.
@@ -209,7 +172,7 @@ func isClamped(b *ir.Block, load int) bool {
 }
 
 // branchGuardsOnly reports whether every guard is a conditional branch
-// the pass knows how to turn into a predicate.
+// the mode knows how to turn into a predicate.
 func branchGuardsOnly(b *ir.Block, guards []int) bool {
 	if len(guards) == 0 {
 		return false

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"ghostbusters/internal/core"
@@ -48,41 +49,67 @@ var blockMakers = map[string]func(*testing.T) *ir.Block{
 	"v4": v4Block,
 }
 
+// apply runs one mode through Apply, failing the test on error.
+func apply(t *testing.T, b *ir.Block, mode core.Mode) core.Report {
+	t.Helper()
+	rep, err := Apply(b, mode, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+func relaxableEdges(b *ir.Block) int {
+	n := 0
+	for _, e := range b.Edges {
+		if e.Relaxable {
+			n++
+		}
+	}
+	return n
+}
+
+// The mode table covers the paper's four modes plus the ported
+// mitigations, in mode-value order, and rejects a mode it has no entry
+// for.
 func TestRegistryCoversAllModes(t *testing.T) {
 	modes := Modes()
 	if len(modes) < 7 {
-		t.Fatalf("registry has %d modes, want the four paper modes plus >= 3 ported mitigations", len(modes))
+		t.Fatalf("mode table has %d modes, want the four paper modes plus >= 3 ported mitigations", len(modes))
 	}
-	for i := 1; i < len(modes); i++ {
-		if modes[i-1] >= modes[i] {
-			t.Fatalf("Modes() not in ascending mode-value order: %v", modes)
-		}
-	}
-	for _, m := range modes {
-		pl := MustFor(m)
-		if pl.Mode != m {
-			t.Errorf("MustFor(%v).Mode = %v", m, pl.Mode)
-		}
-		if pl.Name != m.String() {
-			t.Errorf("pipeline name %q != mode name %q", pl.Name, m.String())
-		}
-		byN, err := ByName(pl.Name)
-		if err != nil || byN != pl {
-			t.Errorf("ByName(%q) = %v, %v", pl.Name, byN, err)
-		}
-		if pl.Mechanism == "" || pl.Lineage == "" {
-			t.Errorf("%s: missing Mechanism/Lineage metadata", pl.Name)
-		}
-		// ParseMode and the registry agree: every registered name resolves.
-		if parsed, err := core.ParseMode(pl.Name); err != nil || parsed != m {
-			t.Errorf("core.ParseMode(%q) = %v, %v", pl.Name, parsed, err)
+	for i, m := range modes {
+		if m != core.Mode(i) {
+			t.Fatalf("Modes() not the dense mode-value sequence: %v", modes)
 		}
 	}
-	if _, err := For(core.Mode(99)); err == nil {
-		t.Error("For(unregistered mode) should fail")
+	if _, err := Apply(v1Block(t), core.Mode(len(modes)), nil); err == nil {
+		t.Error("Apply(mode without a table entry) should fail")
 	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Error("ByName(bogus) should fail")
+}
+
+// Every mode name round-trips through ParseMode/String, and ParseMode's
+// error lists every mode in mode order — the same list the CLIs print
+// in their -mode help.
+func TestModeNamesRoundTrip(t *testing.T) {
+	_, err := core.ParseMode("bogus")
+	if err == nil {
+		t.Fatal("ParseMode(bogus) should fail")
+	}
+	msg := err.Error()
+	at := 0
+	for _, m := range Modes() {
+		name := m.String()
+		if parsed, err := core.ParseMode(name); err != nil || parsed != m {
+			t.Errorf("core.ParseMode(%q) = %v, %v", name, parsed, err)
+		}
+		i := strings.Index(msg[at:], name)
+		if i < 0 {
+			t.Fatalf("ParseMode error %q does not list %q after offset %d", msg, name, at)
+		}
+		at += i + len(name)
+	}
+	if s := core.Mode(len(Modes())).String(); !strings.HasPrefix(s, "mode(") {
+		t.Errorf("mode past the table renders as %q", s)
 	}
 }
 
@@ -93,52 +120,26 @@ func TestFig4ModesAreTheSeedFour(t *testing.T) {
 	}
 }
 
-// The four legacy pipelines must transform a block exactly as the
-// monolithic core.Apply does: same instructions, same edges, same
-// report. This is the differential gate behind the fig4 byte-identity
-// guarantee.
-func TestLegacyPipelinesMatchCoreApply(t *testing.T) {
-	for _, mode := range Fig4Modes() {
-		for variant, mk := range blockMakers {
-			legacy, piped := mk(t), mk(t)
-			repL := core.Apply(legacy, mode)
-			repP, passes := MustFor(mode).Apply(piped)
-			if !reflect.DeepEqual(repL, repP) {
-				t.Errorf("%s/%s: report diverged:\nlegacy   %+v\npipeline %+v", mode, variant, repL, repP)
-			}
-			if !reflect.DeepEqual(legacy.Insts, piped.Insts) {
-				t.Errorf("%s/%s: instructions diverged", mode, variant)
-			}
-			if !reflect.DeepEqual(legacy.Edges, piped.Edges) {
-				t.Errorf("%s/%s: edges diverged:\nlegacy   %v\npipeline %v", mode, variant, legacy.Edges, piped.Edges)
-			}
-			if len(passes) == 0 {
-				t.Errorf("%s/%s: no pass reports", mode, variant)
-			}
-		}
-	}
-}
-
-// Every registered pipeline must be idempotent: a second application to
-// the already-mitigated block changes neither instructions nor edges.
+// Every mode must be idempotent: a second application to the
+// already-mitigated block changes neither instructions nor edges.
 func TestPipelinesIdempotent(t *testing.T) {
-	for _, pl := range All() {
+	for _, mode := range Modes() {
 		for variant, mk := range blockMakers {
 			b := mk(t)
-			pl.Apply(b)
+			apply(t, b, mode)
 			insts := append([]ir.Inst(nil), b.Insts...)
 			edges := append([]ir.Edge(nil), b.Edges...)
-			pl.Apply(b)
+			apply(t, b, mode)
 			if !reflect.DeepEqual(b.Insts, insts) {
 				t.Errorf("%s/%s: second application changed instructions (%d -> %d)",
-					pl.Name, variant, len(insts), len(b.Insts))
+					mode, variant, len(insts), len(b.Insts))
 			}
 			if !reflect.DeepEqual(b.Edges, edges) {
 				t.Errorf("%s/%s: second application changed edges (%d -> %d)",
-					pl.Name, variant, len(edges), len(b.Edges))
+					mode, variant, len(edges), len(b.Edges))
 			}
 			if err := b.Verify(); err != nil {
-				t.Errorf("%s/%s: mitigated block fails Verify: %v", pl.Name, variant, err)
+				t.Errorf("%s/%s: mitigated block fails Verify: %v", mode, variant, err)
 			}
 		}
 	}
@@ -148,26 +149,27 @@ func TestUnsafePipelineIsNoOp(t *testing.T) {
 	b := v1Block(t)
 	insts := append([]ir.Inst(nil), b.Insts...)
 	edges := append([]ir.Edge(nil), b.Edges...)
-	rep, _ := MustFor(core.ModeUnsafe).Apply(b)
+	rep := apply(t, b, core.ModeUnsafe)
 	if !rep.PatternFound() {
-		t.Error("unsafe pipeline should still report the detected pattern")
+		t.Error("unsafe mode should still report the detected pattern")
 	}
 	if !reflect.DeepEqual(b.Insts, insts) || !reflect.DeepEqual(b.Edges, edges) {
-		t.Fatal("unsafe pipeline mutated the block")
+		t.Fatal("unsafe mode mutated the block")
 	}
 }
 
 // loadfence pins every speculative load — the blanket strawman.
 func TestLoadFencePinsEveryLoad(t *testing.T) {
 	b := v1Block(t)
-	_, passes := MustFor(core.ModeLoadFence).Apply(b)
+	before := relaxableEdges(b)
+	apply(t, b, core.ModeLoadFence)
 	for i, in := range b.Insts {
 		if in.IsLoad() && b.HasRelaxableIn(i) {
 			t.Errorf("load n%d still speculative under loadfence", i)
 		}
 	}
-	if passes[len(passes)-1].PinnedEdges == 0 {
-		t.Error("loadfence reports no pinned edges on a speculating block")
+	if relaxableEdges(b) == before {
+		t.Error("loadfence pinned no edges on a speculating block")
 	}
 }
 
@@ -176,7 +178,8 @@ func TestLoadFencePinsEveryLoad(t *testing.T) {
 // speculation.
 func TestSFIClampMasksInsteadOfPinning(t *testing.T) {
 	b := v1Block(t)
-	rep, passes := MustFor(core.ModeSFIClamp).Apply(b)
+	before := len(b.Insts)
+	rep := apply(t, b, core.ModeSFIClamp)
 	if len(rep.RiskyLoads) != 1 {
 		t.Fatalf("RiskyLoads = %v", rep.RiskyLoads)
 	}
@@ -194,8 +197,8 @@ func TestSFIClampMasksInsteadOfPinning(t *testing.T) {
 			inserted++
 		}
 	}
-	if last := passes[len(passes)-1]; last.InsertedInsts != inserted {
-		t.Errorf("pass reports %d inserted insts, block has %d TempDest insts", last.InsertedInsts, inserted)
+	if grown := len(b.Insts) - before; grown != inserted {
+		t.Errorf("block grew by %d insts, has %d TempDest insts", grown, inserted)
 	}
 	if err := b.Verify(); err != nil {
 		t.Fatal(err)
@@ -207,7 +210,7 @@ func TestSFIClampMasksInsteadOfPinning(t *testing.T) {
 // bypass open.
 func TestSFIClampFallsBackOnStoreGuards(t *testing.T) {
 	b := v4Block(t)
-	rep, _ := MustFor(core.ModeSFIClamp).Apply(b)
+	rep := apply(t, b, core.ModeSFIClamp)
 	if len(rep.RiskyLoads) != 1 {
 		t.Fatalf("RiskyLoads = %v", rep.RiskyLoads)
 	}
@@ -219,62 +222,56 @@ func TestSFIClampFallsBackOnStoreGuards(t *testing.T) {
 	}
 }
 
-// fence-min pins a vertex cut of the poison flow: after the pass,
+// fence-min pins a vertex cut of the poison flow: after it runs,
 // re-analysis must find no remaining Spectre pattern.
 func TestFenceMinCutsThePattern(t *testing.T) {
 	for variant, mk := range blockMakers {
 		b := mk(t)
-		rep, _ := MustFor(core.ModeFenceMin).Apply(b)
+		rep := apply(t, b, core.ModeFenceMin)
 		if !rep.PatternFound() {
 			t.Fatalf("%s: pattern not detected", variant)
 		}
-		if after := core.Analyze(b); after.PatternFound() {
+		if after, _ := core.AnalyzePins(b, nil); after.PatternFound() {
 			t.Errorf("%s: pattern survives fence-min: %+v", variant, after)
 		}
 	}
 }
 
-// One audit report spans the pipeline: chains carry the pass that made
-// them, and aud.Passes records one attribution per pass in order.
+// The audit attributes the mitigation work to the block: under every
+// mode its guard-edge count is the report's, it explains the pattern
+// with a pinned chain, and it replays against the mitigated block.
 func TestAuditAttribution(t *testing.T) {
-	for _, pl := range All() {
+	for _, mode := range Modes() {
 		b := v1Block(t)
-		rep, aud, passes := pl.ApplyAudited(b)
-		if len(aud.Passes) != len(passes) || len(passes) != len(pl.Passes) {
-			t.Fatalf("%s: %d attributions, %d pass reports, %d passes",
-				pl.Name, len(aud.Passes), len(passes), len(pl.Passes))
+		aud := &ir.AuditReport{}
+		rep, err := Apply(b, mode, aud)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, pa := range aud.Passes {
-			if pa.Pass != pl.Passes[i].Name {
-				t.Errorf("%s: attribution %d is %q, want %q", pl.Name, i, pa.Pass, pl.Passes[i].Name)
-			}
-		}
-		for _, c := range aud.Pinned {
-			if c.Pass == "" {
-				t.Errorf("%s: provenance chain without a pass stamp", pl.Name)
-			}
+		if len(aud.Pinned) != len(rep.RiskyLoads) {
+			t.Errorf("%s: %d pinned chains for %d risky loads", mode, len(aud.Pinned), len(rep.RiskyLoads))
 		}
 		if aud.GuardEdges != rep.GuardEdges {
-			t.Errorf("%s: audit GuardEdges %d != report %d", pl.Name, aud.GuardEdges, rep.GuardEdges)
+			t.Errorf("%s: audit GuardEdges %d != report %d", mode, aud.GuardEdges, rep.GuardEdges)
 		}
-		if err := aud.Verify(b, pl.Mode == core.ModeGhostBusters); err != nil {
-			t.Errorf("%s: audit fails verification: %v", pl.Name, err)
+		if err := aud.Verify(b, mode == core.ModeGhostBusters); err != nil {
+			t.Errorf("%s: audit fails verification: %v", mode, err)
 		}
 	}
 }
 
-// The pipeline mutates blocks only through deterministic iteration:
+// Every mode mutates blocks only through deterministic iteration:
 // repeated applications to equal blocks must agree byte-for-byte.
 func TestPipelinesDeterministic(t *testing.T) {
-	for _, pl := range All() {
+	for _, mode := range Modes() {
 		for variant, mk := range blockMakers {
 			ref := mk(t)
-			pl.Apply(ref)
+			apply(t, ref, mode)
 			for i := 0; i < 4; i++ {
 				b := mk(t)
-				pl.Apply(b)
+				apply(t, b, mode)
 				if !reflect.DeepEqual(b.Insts, ref.Insts) || !reflect.DeepEqual(b.Edges, ref.Edges) {
-					t.Fatalf("%s/%s: run %d diverged from the first application", pl.Name, variant, i)
+					t.Fatalf("%s/%s: run %d diverged from the first application", mode, variant, i)
 				}
 			}
 		}

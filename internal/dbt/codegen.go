@@ -16,10 +16,6 @@ type CompileResult struct {
 	Block  *vliw.Block
 	Report core.Report
 
-	// Passes is the per-pass breakdown of the mitigation pipeline the
-	// mode resolved to, in application order.
-	Passes []pipeline.PassReport
-
 	// Audit carries the per-block provenance report and the mitigated
 	// IR block it describes, populated only when compileOpts.Audit is
 	// set (Config.Audit); nil otherwise — the unaudited translation
@@ -50,17 +46,13 @@ func compileWith(b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, 
 	if err := b.Verify(); err != nil {
 		return nil, err
 	}
-	pl, err := pipeline.For(mode)
+	var aud *ir.AuditReport
+	if opts.Audit {
+		aud = &ir.AuditReport{}
+	}
+	rep, err := pipeline.Apply(b, mode, aud)
 	if err != nil {
 		return nil, err
-	}
-	var rep core.Report
-	var aud *ir.AuditReport
-	var passes []pipeline.PassReport
-	if opts.Audit {
-		rep, aud, passes = pl.ApplyAudited(b)
-	} else {
-		rep, passes = pl.Apply(b)
 	}
 
 	try := func(ctrlSpec, memSpec bool) (*vliw.Block, error) {
@@ -85,7 +77,7 @@ func compileWith(b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, 
 	if err != nil {
 		return nil, err
 	}
-	res := &CompileResult{Block: blk, Report: rep, Passes: passes}
+	res := &CompileResult{Block: blk, Report: rep}
 	if opts.Audit {
 		res.Audit, res.AuditIR = aud, b
 	}

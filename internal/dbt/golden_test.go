@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -216,4 +217,68 @@ func TestMitigationGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("mitigation output drifted from %s:\n got:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
 	}
+}
+
+func cloneBlock(b *ir.Block) *ir.Block {
+	c := *b
+	c.Insts = append([]ir.Inst(nil), b.Insts...)
+	c.Edges = append([]ir.Edge(nil), b.Edges...)
+	return &c
+}
+
+// forEachCorpusRegion calls fn with a fresh copy of every region of the
+// golden corpus under every mode.
+func forEachCorpusRegion(t *testing.T, fn func(name string, b *ir.Block, mode core.Mode)) {
+	t.Helper()
+	for _, c := range goldenCorpus(t) {
+		for i, r := range c.Regions {
+			for _, mode := range pipeline.Modes() {
+				name := fmt.Sprintf("%s/%s region %d @%#x under %s", c.Bench, c.Mode, i, r.EntryPC, mode)
+				fn(name, cloneBlock(r), mode)
+			}
+		}
+	}
+}
+
+// The hand-built audit replay check (internal/core
+// TestAuditReplaysUnderAllModes), widened to real IR: every mode's audit
+// of every corpus region replays against the block it mutated, backed
+// by guard edges in ghostbusters mode.
+func TestCorpusAuditReplaysUnderAllModes(t *testing.T) {
+	forEachCorpusRegion(t, func(name string, b *ir.Block, mode core.Mode) {
+		aud := &ir.AuditReport{}
+		if _, err := pipeline.Apply(b, mode, aud); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := aud.Verify(b, mode == core.ModeGhostBusters); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	})
+}
+
+// The hand-built idempotence check (internal/core/pipeline
+// TestPipelinesIdempotent), widened to real IR: a second Apply changes
+// neither instructions, edges nor the report's guard-edge count.
+func TestCorpusPipelinesIdempotent(t *testing.T) {
+	forEachCorpusRegion(t, func(name string, b *ir.Block, mode core.Mode) {
+		if _, err := pipeline.Apply(b, mode, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		insts := append([]ir.Inst(nil), b.Insts...)
+		edges := append([]ir.Edge(nil), b.Edges...)
+		rep, err := pipeline.Apply(b, mode, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(b.Insts, insts) || !reflect.DeepEqual(b.Edges, edges) {
+			t.Errorf("%s: second application changed the block (%d -> %d insts, %d -> %d edges)",
+				name, len(insts), len(b.Insts), len(edges), len(b.Edges))
+		}
+		if rep.GuardEdges != 0 {
+			t.Errorf("%s: second application inserted %d guard edges", name, rep.GuardEdges)
+		}
+		if err := b.Verify(); err != nil {
+			t.Errorf("%s: mitigated block fails Verify: %v", name, err)
+		}
+	})
 }

@@ -927,11 +927,10 @@ func (m *Machine) DumpIR(pc uint64) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("dbt: DumpIR(%#x): %w", pc, err)
 	}
-	pl, err := pipeline.For(m.cfg.Mitigation)
-	if err != nil {
+	aud := &ir.AuditReport{}
+	if _, err := pipeline.Apply(irBlk, m.cfg.Mitigation, aud); err != nil {
 		return "", fmt.Errorf("dbt: DumpIR(%#x): %w", pc, err)
 	}
-	_, aud, _ := pl.ApplyAudited(irBlk)
 	return irBlk.Dot(aud.Overlay()), nil
 }
 

@@ -152,8 +152,8 @@ func genBlock(r *rand.Rand) *ir.Block {
 
 func TestSchedulerTorture(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
-	// Every registered mitigation pipeline faces the torture blocks, so
-	// a newly ported mitigation is differentially checked automatically.
+	// Every mitigation mode faces the torture blocks, so a newly ported
+	// mitigation is differentially checked automatically.
 	modes := pipeline.Modes()
 	cores := []vliw.Config{vliw.NarrowConfig(), vliw.DefaultConfig(), vliw.WideConfig()}
 

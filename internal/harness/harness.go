@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"ghostbusters/internal/attack"
@@ -42,20 +41,11 @@ type KernelRun struct {
 	TransNS int64
 }
 
-// RunSpec executes a kernel spec on a fresh machine and validates every
-// output array against the reference. A mismatch is an error: the
-// benchmark harness doubles as an end-to-end correctness check.
-func RunSpec(spec *polybench.Spec, cfg dbt.Config) (*KernelRun, error) {
-	art, err := BuildArtifact(spec)
-	if err != nil {
-		return nil, err
-	}
-	return runArtifact(art, cfg)
-}
-
-// runArtifact executes a prepared artifact on a fresh machine. The
-// artifact is read-only, so many runArtifact calls may share it
-// concurrently.
+// runArtifact executes a prepared artifact on a fresh machine and
+// validates every output array against the reference. A mismatch is an
+// error: the benchmark harness doubles as an end-to-end correctness
+// check. The artifact is read-only, so many runArtifact calls may share
+// it concurrently.
 func runArtifact(art *Artifact, cfg dbt.Config) (*KernelRun, error) {
 	spec := art.Spec
 	if cfg.TransCache != nil {
@@ -175,14 +165,13 @@ func (r *Row) normalize() {
 
 // Fig4Modes are the modes the paper's Figure 4 compares (plus the fence
 // variant from the text's third experiment). The list derives from the
-// mitigation-pass registry so the byte-identity and -checkperf gates
-// keep covering exactly the pipelines flagged as part of the paper's
-// comparison — the four legacy modes.
+// mitigation table so the byte-identity and -checkperf gates keep
+// covering exactly the modes flagged as part of the paper's comparison.
 var Fig4Modes = pipeline.Fig4Modes()
 
-// AllModes returns every registered mitigation mode, in mode-value
-// order. A mitigation registered in the pass pipeline automatically
-// appears in the full benchmark and leakage matrices through this.
+// AllModes returns every mitigation mode, in mode-value order. A mode
+// added to the mitigation table automatically appears in the full
+// benchmark and leakage matrices through this.
 func AllModes() []core.Mode { return pipeline.Modes() }
 
 // RunKernel measures one kernel under the given modes. The modes fan
@@ -190,16 +179,6 @@ func AllModes() []core.Mode { return pipeline.Modes() }
 func RunKernel(k polybench.Kernel, n int, base dbt.Config, modes []core.Mode) (*Row, error) {
 	r := &Runner{Artifacts: NewArtifacts()}
 	return r.RunKernel(context.Background(), k, n, base, modes)
-}
-
-// RunSpectreApp measures a Spectre PoC application as a benchmark (the
-// paper's Figure 4 includes "Spectre v1" and "Spectre v4" applications).
-func RunSpectreApp(v attack.Variant, base dbt.Config, modes []core.Mode) (*Row, error) {
-	rows, err := (&Runner{}).RunMatrix(context.Background(), base, []Bench{SpectreBench(v)}, modes)
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
 }
 
 // Fig4 runs the whole Figure 4 experiment: every Polybench kernel plus
@@ -304,11 +283,6 @@ func PoCMatrix(base dbt.Config) (string, []attack.MatrixEntry, error) {
 			e.Variant, e.Mode, leaked, e.Result.BytesCorrect, len(e.Result.Secret), cell.BitsLeaked, slow, notes)
 	}
 	return sb.String(), entries, nil
-}
-
-// SortRows orders rows by name for stable output.
-func SortRows(rows []*Row) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 }
 
 // CSV renders rows machine-readably (one line per benchmark/mode pair):

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,12 +11,22 @@ import (
 	"ghostbusters/internal/polybench"
 )
 
+// runSpec builds the spec's artifact and runs it on a fresh machine,
+// validating its outputs.
+func runSpec(spec *polybench.Spec, cfg dbt.Config) (*KernelRun, error) {
+	art, err := BuildArtifact(spec)
+	if err != nil {
+		return nil, err
+	}
+	return runArtifact(art, cfg)
+}
+
 func TestRunSpecValidatesOutputs(t *testing.T) {
 	spec, err := polybench.MakeGemm(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := RunSpec(spec, dbt.DefaultConfig())
+	run, err := runSpec(spec, dbt.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +43,9 @@ func TestRunSpecUndeclaredOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Outputs = append(spec.Outputs, "ghost")
-	_, err = RunSpec(spec, dbt.DefaultConfig())
+	_, err = runSpec(spec, dbt.DefaultConfig())
 	if err == nil {
-		t.Fatal("RunSpec accepted an undeclared output")
+		t.Fatal("runSpec accepted an undeclared output")
 	}
 	if !strings.Contains(err.Error(), "ghost") || !strings.Contains(err.Error(), "not declared") {
 		t.Fatalf("error not descriptive: %v", err)
@@ -77,10 +88,10 @@ func TestRunSpecDetectsWrongReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the expected output: RunSpec must fail.
+	// Corrupt the expected output: the run must fail validation.
 	spec.Expected["C"][0]++
-	if _, err := RunSpec(spec, dbt.DefaultConfig()); err == nil {
-		t.Fatal("RunSpec accepted a wrong result")
+	if _, err := runSpec(spec, dbt.DefaultConfig()); err == nil {
+		t.Fatal("runSpec accepted a wrong result")
 	}
 }
 
@@ -112,10 +123,12 @@ func TestRunKernelSlowdowns(t *testing.T) {
 }
 
 func TestRunSpectreApp(t *testing.T) {
-	row, err := RunSpectreApp(attack.V1, dbt.DefaultConfig(), []core.Mode{core.ModeUnsafe, core.ModeGhostBusters})
+	modes := []core.Mode{core.ModeUnsafe, core.ModeGhostBusters}
+	rows, err := (&Runner{}).RunMatrix(context.Background(), dbt.DefaultConfig(), []Bench{SpectreBench(attack.V1)}, modes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := rows[0]
 	if row.Name != "spectre-v1" || row.Cycles[core.ModeUnsafe] == 0 {
 		t.Fatalf("row = %+v", row)
 	}
@@ -171,14 +184,6 @@ func TestPoCMatrixShape(t *testing.T) {
 	}
 	if leaks != 2 {
 		t.Fatalf("leaks = %d, want 2", leaks)
-	}
-}
-
-func TestSortRows(t *testing.T) {
-	rows := []*Row{{Name: "z"}, {Name: "a"}, {Name: "m"}}
-	SortRows(rows)
-	if rows[0].Name != "a" || rows[2].Name != "z" {
-		t.Fatalf("rows not sorted: %v %v %v", rows[0].Name, rows[1].Name, rows[2].Name)
 	}
 }
 

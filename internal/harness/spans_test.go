@@ -30,7 +30,6 @@ func TestSpansDoNotPerturbResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("matrix: %v", err)
 		}
-		SortRows(rows)
 		return FormatRows(rows, modes)
 	}
 

@@ -7,10 +7,11 @@ import "fmt"
 // access, the provenance chain from the source speculative load,
 // through the data-flow path the poison travelled, to the guard
 // branches/stores the access was made control-dependent on. They are
-// produced by internal/core's audited analysis and aggregated
-// machine-wide by internal/dbt; gbrun -audit and gbspectre -audit
-// render them, and AuditReport.Verify replays a chain against the
-// block to prove the explanation matches the graph.
+// produced by core.AnalyzePins when handed a report to fill, completed
+// by pipeline.Apply for the block's mode, and aggregated machine-wide
+// by internal/dbt; gbrun -audit and gbspectre -audit render them, and
+// AuditReport.Verify replays a chain against the block to prove the
+// explanation matches the graph.
 
 // GuardKind classifies the speculation source an access was guarded
 // against: a side-exit branch (Spectre v1's hoisted bounds check) or a
@@ -56,11 +57,6 @@ type ProvenanceChain struct {
 	Source int    // == Path[0], the poison-generating speculative load
 	Path   []int
 	Guards []GuardRef
-
-	// Pass names the mitigation pipeline pass that produced (or, for
-	// detection-only modes, explained) this chain. Empty when the
-	// report was produced outside a pipeline (direct core.ApplyAudited).
-	Pass string
 }
 
 // Depth is the number of data-flow steps from source to node; a source
@@ -80,7 +76,7 @@ type AuditReport struct {
 	RelaxedLoads     int
 
 	// GuardEdges is the number of EdgeGuard control dependencies the
-	// mitigation inserted (ghostbusters mode only).
+	// mitigation inserted.
 	GuardEdges int
 
 	// Poisoned has one chain per poisoned instruction (including the
@@ -90,22 +86,6 @@ type AuditReport struct {
 	// address and which guards the mitigation anchors it to.
 	Poisoned []ProvenanceChain
 	Pinned   []ProvenanceChain
-
-	// Passes attributes the mitigation work to the pipeline passes that
-	// performed it, in application order. Populated only when the block
-	// was mitigated through a pipeline (internal/core/pipeline); direct
-	// core.ApplyAudited leaves it empty.
-	Passes []PassAttribution
-}
-
-// PassAttribution is one pipeline pass's share of the mitigation work
-// on this block.
-type PassAttribution struct {
-	Pass          string // registered pass name
-	RiskyLoads    int    // Spectre-pattern accesses this pass handled
-	GuardEdges    int    // EdgeGuard dependencies it inserted
-	PinnedEdges   int    // relaxable edges it made hard
-	InsertedInsts int    // instructions it added to the block
 }
 
 // verifyChain replays one chain against the block: every claimed

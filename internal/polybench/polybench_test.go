@@ -32,13 +32,7 @@ func TestAllKernelsAllModes(t *testing.T) {
 				n = k.DefaultN
 			}
 			for _, mode := range harness.Fig4Modes {
-				spec, err := k.Make(n)
-				if err != nil {
-					t.Fatalf("%s: make: %v", k.Name, err)
-				}
-				cfg := dbt.DefaultConfig()
-				cfg.Mitigation = mode
-				if _, err := harness.RunSpec(spec, cfg); err != nil {
+				if _, err := harness.RunKernel(k, n, dbt.DefaultConfig(), []core.Mode{mode}); err != nil {
 					t.Fatalf("%s under %s: %v", k.Name, mode, err)
 				}
 			}
@@ -47,56 +41,54 @@ func TestAllKernelsAllModes(t *testing.T) {
 }
 
 func TestMatmulPtrAllModes(t *testing.T) {
+	k, err := polybench.ByName("matmul-ptr")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mode := range harness.Fig4Modes {
-		spec, err := polybench.MakeMatmulPtr(10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := dbt.DefaultConfig()
-		cfg.Mitigation = mode
-		run, err := harness.RunSpec(spec, cfg)
+		row, err := harness.RunKernel(k, 10, dbt.DefaultConfig(), []core.Mode{mode})
 		if err != nil {
 			t.Fatalf("matmul-ptr under %s: %v", mode, err)
 		}
 		// The pointer layout must trigger the Spectre pattern detector
 		// under the analysing modes.
-		if mode == core.ModeGhostBusters && run.Stats.PatternsFound == 0 {
+		if mode == core.ModeGhostBusters && row.Stats[mode].PatternsFound == 0 {
 			t.Error("pointer-layout matmul did not trigger the poison analysis")
 		}
 	}
 }
 
 func TestFlatGemmHasNoPattern(t *testing.T) {
-	spec, err := polybench.MakeGemm(10)
+	k, err := polybench.ByName("gemm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := dbt.DefaultConfig()
-	cfg.Mitigation = core.ModeGhostBusters
-	run, err := harness.RunSpec(spec, cfg)
+	row, err := harness.RunKernel(k, 10, dbt.DefaultConfig(), []core.Mode{core.ModeGhostBusters})
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := row.Stats[core.ModeGhostBusters]
 	// Flat affine accesses never use loaded values as addresses: the
 	// paper's observation that the pattern is rare in the standard suite.
-	if run.Stats.PatternsFound != 0 {
-		t.Errorf("flat gemm flagged %d patterns; expected none", run.Stats.PatternsFound)
+	if run.PatternsFound != 0 {
+		t.Errorf("flat gemm flagged %d patterns; expected none", run.PatternsFound)
 	}
 }
 
 func TestKernelsExerciseSpeculation(t *testing.T) {
-	spec, err := polybench.MakeGemm(10)
+	k, err := polybench.ByName("gemm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := harness.RunSpec(spec, dbt.DefaultConfig())
+	row, err := harness.RunKernel(k, 10, dbt.DefaultConfig(), []core.Mode{core.ModeUnsafe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Stats.SpecLoads == 0 {
+	run := row.Stats[core.ModeUnsafe]
+	if run.SpecLoads == 0 {
 		t.Error("gemm under unsafe issued no speculative loads")
 	}
-	if run.Stats.Traces == 0 {
+	if run.Traces == 0 {
 		t.Error("gemm built no traces")
 	}
 }
