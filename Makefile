@@ -6,6 +6,9 @@
 #   make bench   host-performance benchmarks, benchstat-compatible output
 #   make fig4    print the Figure 4 table (parallel harness)
 #   make perf    record the Figure 4 perf JSON (BENCH_fig4.json schema)
+#   make profile-warm  CPU profile of warm, default-size Fig. 4 sweeps on
+#                one worker (BenchmarkFig4Warm) into warm.prof; read it
+#                with `go tool pprof -top ghostbusters.test warm.prof`
 #   make trace   capture a Perfetto trace of the Spectre v1 PoC
 #   make trace-v4  same for Spectre v4 (MCB rollbacks on the timeline)
 #   make audit   run the v1 PoC with the leakage audit layer on
@@ -16,8 +19,9 @@
 
 GO ?= go
 FUZZTIME ?= 30s
+PROFILESWEEPS ?= 20
 
-.PHONY: build fmt test vet race check fuzz bench bench-quick fig4 perf trace trace-v4 audit detect-eval serve-smoke soak
+.PHONY: build fmt test vet race check fuzz bench bench-quick fig4 perf profile-warm trace trace-v4 audit detect-eval serve-smoke soak
 
 build:
 	$(GO) build ./...
@@ -67,6 +71,17 @@ fig4:
 
 perf:
 	$(GO) run ./cmd/gbbench -exp fig4 -perfjson BENCH_fig4.json
+
+# The execution-layer profile: PROFILESWEEPS timed sweeps of the Fig. 4
+# matrix at default kernel sizes, one worker, on artifact and
+# translation caches warmed by an untimed sweep. The profile spans the
+# whole test binary, so each benchmark round's warm-up sweep (translation
+# included) is in it too; 20 sweeps keep that share small. The test
+# binary is kept next to the profile so pprof can symbolize it.
+profile-warm:
+	$(GO) test -run '^$$' -bench '^BenchmarkFig4Warm$$' -benchtime $(PROFILESWEEPS)x \
+		-cpuprofile warm.prof -o ghostbusters.test .
+	@echo "wrote warm.prof — go tool pprof -top ghostbusters.test warm.prof"
 
 # Full-detail trace of the Spectre v1 attack, timed in simulated
 # cycles. Open trace_v1.json at https://ui.perfetto.dev to watch the

@@ -110,34 +110,42 @@ func benchKernel(b *testing.B, name string, n int, mode core.Mode) {
 // count (compare -j 1 vs GOMAXPROCS). One shared artifact set and one
 // shared in-memory translation cache serve every iteration, with a
 // warm-up sweep before the clock starts: the benchmark measures the
-// execution backend in steady state — chained dispatch of cached
-// translations — not the assembler or the DBT compiler. (Results stay
-// bit-identical either way; the differential tests assert it.)
+// execution backend in steady state — dispatch of cached translations
+// — not the assembler or the DBT compiler. (Results stay bit-identical
+// either way; the differential tests assert it.)
 func BenchmarkFig4Matrix(b *testing.B) {
 	for _, workers := range []int{1, 0} {
 		name := fmt.Sprintf("j%d", workers)
 		if workers == 0 {
 			name = "jMax"
 		}
-		b.Run(name, func(b *testing.B) {
-			arts := harness.NewArtifacts()
-			tc := tcache.New("")
-			sweep := func() {
-				r := &harness.Runner{Workers: workers, Artifacts: arts, TransCache: tc}
-				rows, err := r.Fig4(context.Background(), dbt.DefaultConfig(), benchModes, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rows) != len(polybench.All())+2 {
-					b.Fatalf("matrix returned %d rows", len(rows))
-				}
-			}
-			sweep() // warm the artifact and translation caches
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sweep()
-			}
-		})
+		b.Run(name, func(b *testing.B) { benchWarmSweeps(b, workers, 8) })
+	}
+}
+
+// BenchmarkFig4Warm is the same warm sweep at the default kernel sizes
+// on one worker: the execution-layer profile target (make profile-warm).
+func BenchmarkFig4Warm(b *testing.B) { benchWarmSweeps(b, 1, 0) }
+
+// benchWarmSweeps times Fig. 4 sweeps of kernel size n (0 = default)
+// on warmed, shared artifact and translation caches.
+func benchWarmSweeps(b *testing.B, workers, n int) {
+	arts := harness.NewArtifacts()
+	tc := tcache.New("")
+	sweep := func() {
+		r := &harness.Runner{Workers: workers, Artifacts: arts, TransCache: tc}
+		rows, err := r.Fig4(context.Background(), dbt.DefaultConfig(), benchModes, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != len(polybench.All())+2 {
+			b.Fatalf("matrix returned %d rows", len(rows))
+		}
+	}
+	sweep() // warm the artifact and translation caches
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
 	}
 }
 

@@ -5,7 +5,10 @@
 // lines, and the attacker distinguishes hits from misses with rdcycle.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes cache geometry and timing.
 type Config struct {
@@ -75,6 +78,13 @@ type Cache struct {
 	stamp uint64
 	stats Stats
 
+	// lineShift, setShift and setMask split an address into set and
+	// tag without dividing: both geometry parameters are validated
+	// powers of two.
+	lineShift uint8
+	setShift  uint8
+	setMask   uint64
+
 	// OnFlush, when non-nil, observes every flush operation after it
 	// completes: the flushed address (line flushes only — 0 for a full
 	// flush), how many lines were actually invalidated, and whether it
@@ -90,7 +100,13 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cache{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways)}, nil
+	return &Cache{
+		cfg:       cfg,
+		lines:     make([]line, cfg.Sets*cfg.Ways),
+		lineShift: uint8(bits.TrailingZeros64(cfg.LineSize)),
+		setShift:  uint8(bits.TrailingZeros64(uint64(cfg.Sets))),
+		setMask:   uint64(cfg.Sets) - 1,
+	}, nil
 }
 
 // MustNew is New for configurations known valid (tests, benchmarks).
@@ -105,12 +121,15 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
+// HitLatency returns the latency of a hit in cycles.
+func (c *Cache) HitLatency() uint64 { return c.cfg.HitLatency }
+
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	lineAddr := addr / c.cfg.LineSize
-	return int(lineAddr % uint64(c.cfg.Sets)), lineAddr / uint64(c.cfg.Sets)
+	lineAddr := addr >> c.lineShift
+	return int(lineAddr & c.setMask), lineAddr >> c.setShift
 }
 
 // Access models a load or store of the line containing addr (write-

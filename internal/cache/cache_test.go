@@ -239,3 +239,34 @@ func BenchmarkAccess(b *testing.B) {
 		c.Access(uint64(i%1024) * 64)
 	}
 }
+
+// The shift/mask index must split every address exactly as division
+// and modulo by the geometry would.
+func TestIndexMatchesDivMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, sets := range []int{1, 2, 64, 1024} {
+		for _, lineSize := range []uint64{1, 8, 64, 256} {
+			c := MustNew(Config{Sets: sets, Ways: 2, LineSize: lineSize, HitLatency: 1})
+			addrs := []uint64{0, 1, lineSize - 1, lineSize, ^uint64(0), 1 << 63}
+			for i := 0; i < 1000; i++ {
+				addrs = append(addrs, rng.Uint64())
+			}
+			for _, addr := range addrs {
+				lineAddr := addr / lineSize
+				wantSet, wantTag := int(lineAddr%uint64(sets)), lineAddr/uint64(sets)
+				if set, tag := c.index(addr); set != wantSet || tag != wantTag {
+					t.Fatalf("Sets=%d LineSize=%d addr=%#x: index = (%d, %#x), want (%d, %#x)",
+						sets, lineSize, addr, set, tag, wantSet, wantTag)
+				}
+			}
+		}
+	}
+}
+
+func TestHitLatencyAccessor(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.HitLatency = 7
+	if got := MustNew(cfg).HitLatency(); got != 7 {
+		t.Fatalf("HitLatency() = %d, want 7", got)
+	}
+}

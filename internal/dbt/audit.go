@@ -40,8 +40,9 @@ func (m *Machine) Audit() *Audit {
 		return nil
 	}
 	a := &Audit{Mode: m.cfg.Mitigation}
-	for pc, e := range m.trans {
-		if e.audit == nil {
+	for pc, te := range m.trans {
+		e := te.rg
+		if e == nil || e.audit == nil {
 			continue
 		}
 		a.Blocks = append(a.Blocks, BlockAudit{PC: pc, IsTrace: e.isTrace, Report: e.audit, IR: e.auditIR})

@@ -114,7 +114,7 @@ func TestAuditDisabled(t *testing.T) {
 		t.Fatal("Audit() non-nil with auditing off")
 	}
 	for pc, e := range m.trans {
-		if e.audit != nil || e.auditIR != nil {
+		if e.rg != nil && (e.rg.audit != nil || e.rg.auditIR != nil) {
 			t.Fatalf("entry @%#x retained audit state with auditing off", pc)
 		}
 	}

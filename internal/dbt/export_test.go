@@ -11,12 +11,12 @@ import (
 // unmitigated IR and guest instruction count.
 func (m *Machine) RegionIR(pc uint64) (*ir.Block, int, error) {
 	e := m.trans[pc]
-	if e == nil {
+	if e == nil || e.rg == nil {
 		return nil, 0, fmt.Errorf("dbt: no region installed at %#x", pc)
 	}
 	lim := translateLimits{MaxInsts: m.cfg.MaxTraceInsts, MaxUnroll: m.cfg.MaxUnroll}
 	var orc branchOracle
-	if e.isTrace {
+	if e.rg.isTrace {
 		orc = m.oracle
 	} else {
 		lim.MaxInsts = 48
@@ -31,6 +31,6 @@ func (m *Machine) CompileRegion(pc uint64) (*CompileResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := compileOpts{DisableMemSpec: m.trans[pc].noMemSpec, Audit: true}
+	opts := compileOpts{DisableMemSpec: m.trans[pc].rg.noMemSpec, Audit: true}
 	return compileWith(b, guestInsts, &m.cfg.Core, m.cfg.Mitigation, opts)
 }

@@ -213,7 +213,20 @@ type Result struct {
 	Stats   Stats
 }
 
+// transEntry is the dispatch loop's record of one entered guest PC:
+// its profiled entry count, whether its translation failed for good,
+// and the region installed there, if any. One map lookup finds all
+// three, so a translated dispatch costs one lookup. The record outlives
+// retranslation and self-modifying-code invalidation, which replace or
+// drop only the region.
 type transEntry struct {
+	entries uint64  // profiled entries (interpreter + dispatch)
+	noTrans bool    // translation failed for good: never translated again
+	rg      *region // installed translation; nil while interpreted
+}
+
+// region is one installed translation at a guest PC.
+type region struct {
 	blk     *vliw.Block
 	isTrace bool
 
@@ -271,13 +284,10 @@ type Machine struct {
 	// ts owns the translation-state maps below; they are leased from a
 	// package pool and returned by Release, so the harness's
 	// create/release churn reuses map storage instead of thrashing the
-	// GC. entries values are pointers so a profiled entry is counted
-	// with one map lookup.
+	// GC.
 	ts       *transState
-	entries  map[uint64]*uint64
 	branches map[uint64]*brStat
 	trans    map[uint64]*transEntry
-	noTrans  map[uint64]struct{}
 
 	// transLo/transHi bound the guest text covered by any translated
 	// region, so the store hook can reject non-code stores with two
@@ -342,10 +352,8 @@ func New(cfg Config) (*Machine, error) {
 		b:        b,
 		core:     c,
 		ts:       ts,
-		entries:  ts.entries,
 		branches: ts.branches,
 		trans:    ts.trans,
-		noTrans:  ts.noTrans,
 		transLo:  ^uint64(0),
 	}
 	if cfg.FaultInject.enabled() {
@@ -450,16 +458,14 @@ func (m *Machine) tcFingerprint() string {
 // reused.
 func (m *Machine) Release() {
 	if m.ts != nil {
-		// Return the translation-state maps (entries/branches/trans/
-		// noTrans) to the pool with their bucket storage intact; the
-		// translated blocks themselves are dropped here.
-		clear(m.ts.entries)
+		// Return the translation-state maps (branches/trans) to the
+		// pool with their bucket storage intact; the translated blocks
+		// themselves are dropped here.
 		clear(m.ts.branches)
 		clear(m.ts.trans)
-		clear(m.ts.noTrans)
 		transPool.Put(m.ts)
 		m.ts = nil
-		m.entries, m.branches, m.trans, m.noTrans = nil, nil, nil, nil
+		m.branches, m.trans = nil, nil
 	}
 	if m.mem == nil {
 		return
@@ -485,29 +491,25 @@ func (m *Machine) oracle(pc uint64) (taken, follow bool) {
 	return false, false
 }
 
-// onEnter profiles a block entry and triggers translation when the
-// thresholds are crossed.
-func (m *Machine) onEnter(pc uint64) {
+// onEnter profiles a block entry, triggers translation when the
+// thresholds are crossed, and returns pc's record (nil when translation
+// is disabled).
+func (m *Machine) onEnter(pc uint64) *transEntry {
 	if m.cfg.DisableTranslation {
-		return
+		return nil
 	}
-	if _, bad := m.noTrans[pc]; bad {
-		return
+	e := m.entry(pc)
+	if e.noTrans {
+		return e
 	}
-	cnt := m.entries[pc]
-	if cnt == nil {
-		cnt = new(uint64)
-		m.entries[pc] = cnt
-	}
-	*cnt++
-	c := *cnt
-	e := m.trans[pc]
+	e.entries++
 	switch {
-	case e == nil && c >= m.cfg.HotThreshold:
+	case e.rg == nil && e.entries >= m.cfg.HotThreshold:
 		m.translateAt(pc, false)
-	case e != nil && !e.isTrace && !m.cfg.DisableTraces && c >= m.cfg.TraceThreshold:
+	case e.rg != nil && !e.rg.isTrace && !m.cfg.DisableTraces && e.entries >= m.cfg.TraceThreshold:
 		m.translateAt(pc, true)
 	}
+	return e
 }
 
 func (m *Machine) translateAt(pc uint64, asTrace bool) {
@@ -533,7 +535,7 @@ func (m *Machine) transFail(pc uint64, injected bool, cause error) {
 		m.tr.Emit(obs.Event{Kind: obs.EvTranslateFail, Cycle: m.cycles, PC: pc, Str: f.Detail})
 	}
 	if !injected {
-		m.noTrans[pc] = struct{}{}
+		m.entry(pc).noTrans = true
 	}
 }
 
@@ -598,7 +600,7 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 	// binary encoding drops guest PCs, and SMC invalidation needs them.
 	lo, hi := blockExtent(res.Block)
 	blk.Prepare() // build the threaded-dispatch table off the hot path
-	m.install(pc, &transEntry{
+	rg := &region{
 		blk: blk, isTrace: asTrace, noMemSpec: noMemSpec,
 		lo: lo, hi: hi,
 		staticSpecLoads: res.Report.SpeculativeLoads,
@@ -608,7 +610,8 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 		transNS:         time.Since(t0).Nanoseconds(),
 		audit:           res.Audit,
 		auditIR:         res.AuditIR,
-	})
+	}
+	m.install(pc, rg)
 	m.stats.Translations++
 	if m.tcr != nil {
 		// Record the installed block for publication. With the cache
@@ -637,7 +640,6 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 	m.stats.GuardEdges += res.Report.GuardEdges
 	m.cycles += m.cfg.TranslateCost * uint64(guestInsts)
 	if tron {
-		e := m.trans[pc]
 		kind := "block"
 		if asTrace {
 			kind = "trace"
@@ -648,7 +650,7 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 			Arg3: uint64(res.Report.GuardEdges)})
 		m.tr.Emit(obs.Event{Kind: obs.EvTranslateDone, Cycle: m.cycles, PC: pc,
 			Arg1: uint64(blk.GuestInsts), Arg2: uint64(len(blk.Bundles)),
-			Arg3: uint64(e.transNS), Str: kind})
+			Arg3: uint64(rg.transNS), Str: kind})
 		if m.tr.SpecOn() {
 			// Counter track: cumulative Spectre-pattern loads found so
 			// far (pinned in every mitigating mode), sampled whenever a
@@ -666,7 +668,7 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 func (m *Machine) installCached(pc uint64, rg *tcache.Region, tron bool, t0 time.Time) {
 	blk := rg.Block
 	blk.Prepare()
-	m.install(pc, &transEntry{
+	installed := &region{
 		blk: blk, isTrace: rg.Trace, noMemSpec: rg.NoMemSpec,
 		lo: rg.Lo, hi: rg.Hi,
 		staticSpecLoads: rg.SpecLoads,
@@ -674,7 +676,8 @@ func (m *Machine) installCached(pc uint64, rg *tcache.Region, tron bool, t0 time
 		guardEdges:      rg.GuardEdges,
 		pattern:         rg.Pattern,
 		transNS:         time.Since(t0).Nanoseconds(),
-	})
+	}
+	m.install(pc, installed)
 	if rg.Trace {
 		m.stats.Traces++
 	} else {
@@ -698,7 +701,7 @@ func (m *Machine) installCached(pc uint64, rg *tcache.Region, tron bool, t0 time
 			Arg3: uint64(rg.GuardEdges)})
 		m.tr.Emit(obs.Event{Kind: obs.EvTranslateDone, Cycle: m.cycles, PC: pc,
 			Arg1: uint64(blk.GuestInsts), Arg2: uint64(len(blk.Bundles)),
-			Arg3: uint64(m.trans[pc].transNS), Str: kind})
+			Arg3: uint64(installed.transNS), Str: kind})
 		if m.tr.SpecOn() {
 			m.tr.Emit(obs.Event{Kind: obs.EvCounter, Cycle: m.cycles,
 				Arg1: uint64(m.stats.RiskyLoads), Str: obs.CtrPinnedLoads})
@@ -741,7 +744,10 @@ func (m *Machine) raise(f *trap.Fault, pc uint64) *trap.Fault {
 // PC, cycle count and — for faults inside translated code — the entry
 // PC of the translated region.
 func (m *Machine) Run() (*Result, error) {
-	m.onEnter(m.state.PC)
+	// next is the record of nextPC when the previous step entered it
+	// through onEnter, so the top of the loop need not look it up again.
+	nextPC := m.state.PC
+	next := m.onEnter(nextPC)
 	poll := 0
 	for {
 		if m.cfg.MaxCycles != 0 && m.cycles > m.cfg.MaxCycles {
@@ -766,21 +772,27 @@ func (m *Machine) Run() (*Result, error) {
 			}
 		}
 		pc := m.state.PC
-		if e := m.trans[pc]; e != nil {
+		e := next
+		if e == nil || nextPC != pc {
+			e = m.trans[pc]
+		}
+		next = nil
+		if e != nil && e.rg != nil {
+			rg := e.rg
 			tron := m.tr.BlockOn()
 			if tron {
 				kind := "block"
-				if e.isTrace {
+				if rg.isTrace {
 					kind = "trace"
 				}
 				m.tr.Emit(obs.Event{Kind: obs.EvBlockEnter, Cycle: m.cycles, PC: pc,
-					Arg1: uint64(e.blk.GuestInsts), Arg2: uint64(len(e.blk.Bundles)), Str: kind})
+					Arg1: uint64(rg.blk.GuestInsts), Arg2: uint64(len(rg.blk.Bundles)), Str: kind})
 			}
 			m.wasTrans = true
 			start := m.cycles
 			csBefore := m.core.Stats
 			copy(m.vregs[:32], m.state.X[:])
-			ei := m.core.Exec(e.blk, &m.vregs, m.b, &m.cycles)
+			ei := m.core.Exec(rg.blk, &m.vregs, m.b, &m.cycles)
 			copy(m.state.X[:], m.vregs[:32])
 			m.state.X[0] = 0
 			m.stats.BlockExecs++
@@ -788,11 +800,11 @@ func (m *Machine) Run() (*Result, error) {
 			// -profile ranking): a handful of counter deltas per
 			// dispatch, cheap next to executing the block itself.
 			cs := m.core.Stats
-			e.cycles += m.cycles - start
-			e.bundles += cs.Bundles - csBefore.Bundles
-			e.sideExits += cs.SideExits - csBefore.SideExits
-			e.specLoads += cs.SpecLoads - csBefore.SpecLoads
-			e.squashes += cs.SpecSquash - csBefore.SpecSquash
+			rg.cycles += m.cycles - start
+			rg.bundles += cs.Bundles - csBefore.Bundles
+			rg.sideExits += cs.SideExits - csBefore.SideExits
+			rg.specLoads += cs.SpecLoads - csBefore.SpecLoads
+			rg.squashes += cs.SpecSquash - csBefore.SpecSquash
 			if ei.Fault != nil {
 				if tron {
 					m.tr.Emit(obs.Event{Kind: obs.EvBlockExit, Cycle: m.cycles, PC: pc,
@@ -817,22 +829,22 @@ func (m *Machine) Run() (*Result, error) {
 						Arg1: m.b.DC.Stats().HitRatePct(), Str: obs.CtrCacheHitRate})
 				}
 			}
-			e.execs++
-			e.recov += cs.Recoveries - csBefore.Recoveries
-			if m.cfg.AdaptiveRetranslation && !e.noMemSpec &&
-				e.execs >= m.cfg.DeoptWindow &&
-				e.recov*100 >= e.execs*m.cfg.DeoptRatioPct {
+			rg.execs++
+			rg.recov += cs.Recoveries - csBefore.Recoveries
+			if m.cfg.AdaptiveRetranslation && !rg.noMemSpec &&
+				rg.execs >= m.cfg.DeoptWindow &&
+				rg.recov*100 >= rg.execs*m.cfg.DeoptRatioPct {
 				// Recovery storm: this block's memory speculation loses
 				// more to rollbacks than it gains; retranslate without it
 				// (Transmeta-style adaptive retranslation).
 				if tron {
 					m.tr.Emit(obs.Event{Kind: obs.EvDeopt, Cycle: m.cycles, PC: pc})
 				}
-				m.translateWith(pc, e.isTrace, true)
+				m.translateWith(pc, rg.isTrace, true)
 				m.stats.Deopts++
 			}
 			m.state.PC = ei.NextPC
-			m.onEnter(ei.NextPC)
+			nextPC, next = ei.NextPC, m.onEnter(ei.NextPC)
 			continue
 		}
 
@@ -868,7 +880,7 @@ func (m *Machine) Run() (*Result, error) {
 				}
 			}
 			if res.Taken {
-				m.onEnter(res.Target)
+				nextPC, next = res.Target, m.onEnter(res.Target)
 			}
 		}
 	}
@@ -902,8 +914,8 @@ func (m *Machine) result(ev riscv.Event) *Result {
 
 // BlockAt returns the translated block at pc, for inspection.
 func (m *Machine) BlockAt(pc uint64) *vliw.Block {
-	if e := m.trans[pc]; e != nil {
-		return e.blk
+	if e := m.trans[pc]; e != nil && e.rg != nil {
+		return e.rg.blk
 	}
 	return nil
 }
@@ -917,7 +929,7 @@ func (m *Machine) BlockAt(pc uint64) *vliw.Block {
 // guest code, under the machine's own mitigation mode.
 func (m *Machine) DumpIR(pc uint64) (string, error) {
 	e := m.trans[pc]
-	asTrace := e != nil && e.isTrace
+	asTrace := e != nil && e.rg != nil && e.rg.isTrace
 	lim := translateLimits{MaxInsts: m.cfg.MaxTraceInsts, MaxUnroll: m.cfg.MaxUnroll}
 	var orc branchOracle
 	if asTrace {
@@ -971,14 +983,14 @@ type HotRegion struct {
 // the DBT engine's own view of where time goes.
 func (m *Machine) ProfileReport() []HotRegion {
 	out := make([]HotRegion, 0, len(m.trans))
-	for pc, e := range m.trans {
-		var entered uint64
-		if cnt := m.entries[pc]; cnt != nil {
-			entered = *cnt
+	for pc, te := range m.trans {
+		e := te.rg
+		if e == nil {
+			continue
 		}
 		out = append(out, HotRegion{
 			PC:              pc,
-			Entries:         entered,
+			Entries:         te.entries,
 			Dispatches:      e.execs,
 			GuestInsts:      e.blk.GuestInsts,
 			Bundles:         len(e.blk.Bundles),
@@ -1013,8 +1025,10 @@ func (m *Machine) ProfileReport() []HotRegion {
 // code, in ascending order (gbdump address validation, tooling).
 func (m *Machine) TranslatedPCs() []uint64 {
 	pcs := make([]uint64, 0, len(m.trans))
-	for pc := range m.trans {
-		pcs = append(pcs, pc)
+	for pc, e := range m.trans {
+		if e.rg != nil {
+			pcs = append(pcs, pc)
+		}
 	}
 	sort.Slice(pcs, func(a, b int) bool { return pcs[a] < pcs[b] })
 	return pcs

@@ -539,7 +539,7 @@ loop:
 	// The loop head should be a trace with unrolled body.
 	p := riscv.MustAssemble(src)
 	loopPC := p.MustSymbol("loop")
-	e := m.trans[loopPC]
+	e := m.trans[loopPC].rg
 	if e == nil || !e.isTrace {
 		t.Fatalf("loop head translated=%v trace=%v", e != nil, e != nil && e.isTrace)
 	}

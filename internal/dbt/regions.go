@@ -15,25 +15,31 @@ import (
 // harness creates and releases thousands of short-lived machines per
 // sweep; pooling keeps the map bucket storage alive across them.
 type transState struct {
-	entries  map[uint64]*uint64
 	branches map[uint64]*brStat
 	trans    map[uint64]*transEntry
-	noTrans  map[uint64]struct{}
 }
 
 var transPool = sync.Pool{New: func() any {
 	return &transState{
-		entries:  make(map[uint64]*uint64),
 		branches: make(map[uint64]*brStat),
 		trans:    make(map[uint64]*transEntry),
-		noTrans:  make(map[uint64]struct{}),
 	}
 }}
 
+// entry returns pc's dispatch record, creating it on first use.
+func (m *Machine) entry(pc uint64) *transEntry {
+	e := m.trans[pc]
+	if e == nil {
+		e = &transEntry{}
+		m.trans[pc] = e
+	}
+	return e
+}
+
 // install publishes a translated region and widens the guest text
 // extent the store hook watches.
-func (m *Machine) install(pc uint64, e *transEntry) {
-	m.trans[pc] = e
+func (m *Machine) install(pc uint64, e *region) {
+	m.entry(pc).rg = e
 	// Both fresh translations and persistent-cache installs route
 	// through here, so this is the one place to attribute host-side
 	// translation latency to the machine.
@@ -95,9 +101,9 @@ func (m *Machine) onGuestStore(addr uint64, size int) {
 // [addr, addr+size).
 func (m *Machine) invalidateRange(addr, size uint64) {
 	end := addr + size
-	for pc, e := range m.trans {
-		if e.lo < end && addr < e.hi {
-			delete(m.trans, pc)
+	for _, e := range m.trans {
+		if e.rg != nil && e.rg.lo < end && addr < e.rg.hi {
+			e.rg = nil
 			m.stats.SMCInvalidations++
 		}
 	}

@@ -50,35 +50,22 @@ type Core struct {
 	// Instret counts guest instructions retired by translated code.
 	Instret uint64
 
-	// scr holds the per-bundle scratch state, kept on the core so the
-	// steady-state execution loop is allocation-free: the pending-write
-	// and recovery lists grow to the widest bundle once and are then
-	// reused for every bundle of every block.
-	scr execScratch
+	// wb is the bundle write buffer. Predecode gives every register
+	// write of a bundle its own slot (see threaded.go), so a result is
+	// one indexed store and the bundle's terminator commits slots
+	// [0, n). Slot discardSlot absorbs results that never commit (r0
+	// writes, the faulting second writer of a register).
+	wb [NumRegs]pendingWrite
+
+	// recov lists the recovery sequences the current bundle's chks
+	// requested, in check order. It grows to the most conflicting
+	// chks one bundle has had and is then reused, so the steady-state
+	// execution loop stays allocation-free.
+	recov []int16
 
 	// fr is the per-Exec frame the threaded-dispatch handlers operate
 	// on (see threaded.go), kept on the core for the same reason.
 	fr execFrame
-}
-
-// execScratch is reusable per-bundle working state. The written flags are
-// cleared by replaying the writes list (every set flag has a matching
-// list entry), so a bundle's bookkeeping costs O(writes), not O(NumRegs).
-type execScratch struct {
-	writes  []pendingWrite
-	recov   []int16
-	written [NumRegs]bool
-}
-
-// reset clears any flags left behind by the previous bundle — or by a
-// faulted earlier run, which can abandon the scratch mid-bundle — and
-// truncates the lists, keeping their capacity.
-func (s *execScratch) reset() {
-	for _, w := range s.writes {
-		s.written[w.reg] = false
-	}
-	s.writes = s.writes[:0]
-	s.recov = s.recov[:0]
 }
 
 // NewCore builds a core, rejecting invalid configurations with an error
@@ -99,9 +86,10 @@ func MustNewCore(cfg Config) *Core {
 	return c
 }
 
+// pendingWrite is one buffered register write of the current bundle.
 type pendingWrite struct {
-	reg    uint8
 	val    uint64
+	reg    uint8
 	poison bool
 }
 
@@ -130,18 +118,22 @@ func errInternal(pc uint64, format string, args ...any) *trap.Fault {
 // Dispatch is threaded-code style: the block's predecoded dop table
 // (built once, see threaded.go) is walked with one indirect call per
 // live operation; bundle boundaries are pseudo-ops carrying the write
-// phase, MCB recoveries and the exit decision. Semantics and cycle
-// accounting are identical to the original per-bundle interpreter.
+// phase, MCB recoveries and the exit decision, chosen per bundle at
+// predecode. Semantics and cycle accounting are those of a per-bundle
+// interpreter that buffers every write until the bundle ends.
 func (c *Core) Exec(blk *Block, regs *[NumRegs]uint64, b *bus.Bus, cycles *uint64) ExitInfo {
 	fr := &c.fr
 	fr.regs, fr.b, fr.cycles, fr.blk = regs, b, cycles, blk
-	fr.hitLat = b.DC.Config().HitLatency
+	fr.hitLat = b.DC.HitLatency()
 	fr.poisoned = [NumRegs]bool{}
 	fr.exitTaken, fr.haveNext = false, false
-	c.scr.reset()
+	// A faulted earlier run can abandon a bundle after its chks queued
+	// recoveries; write slots need no reset (each bundle overwrites the
+	// slots it commits).
+	c.recov = c.recov[:0]
 
-	// Dispatching any block costs at least one cycle (the chain jump),
-	// so zero-bundle blocks (pure jumps) cannot loop for free.
+	// Dispatching any block costs at least one cycle (the dispatch
+	// itself), so zero-bundle blocks (pure jumps) cannot loop for free.
 	if len(blk.Bundles) == 0 {
 		*cycles++
 		if n := c.MCB.Outstanding(); n != 0 {
@@ -172,7 +164,7 @@ func (c *Core) Exec(blk *Block, regs *[NumRegs]uint64, b *bus.Bus, cycles *uint6
 // (paper, Section III-B). Dependent speculative loads refresh their MCB
 // entries with the corrected address so their own chk still validates.
 func (c *Core) execRecovery(seq []Syllable, regs *[NumRegs]uint64, poisoned *[NumRegs]bool, b *bus.Bus, cycles *uint64) *ExitInfo {
-	hitLat := b.DC.Config().HitLatency
+	hitLat := b.DC.HitLatency()
 	read := func(r uint8) uint64 {
 		if r == 0 {
 			return 0

@@ -16,6 +16,15 @@ import (
 // exit logic. The table is built at translation time (or lazily on
 // first dispatch) and shared read-only afterwards, so the steady-state
 // execution loop stays allocation-free.
+//
+// The bundle bookkeeping is static too. Predecode gives each register
+// write of a bundle a fixed slot in the core's write buffer, so a
+// result is one indexed store and the terminator commits slots [0, n).
+// A second write of one register in a bundle is found here, and its
+// syllable runs through opDoubleWrite, which raises the internal fault
+// after the syllable's own effects, as a run-time check would. Each
+// bundle's terminator is chosen here as well: bundles without chk,
+// br.exit, jump or jumpr only commit and open the next bundle.
 
 // ctl is a handler's verdict: continue with the next dop, or stop the
 // block (c.fr.exit holds the completed ExitInfo, fault or not).
@@ -30,21 +39,24 @@ const (
 // fields; alu/ext/cmp are the pre-resolved semantic functions so the
 // hot path never switches on riscv.Op again. sy points back into the
 // block's bundle storage for diagnostics (poison faults print the
-// original syllable).
+// original syllable). slot is the write-buffer slot of a writing
+// syllable; on a terminator it is the bundle's slot count. The layout
+// is exactly 64 bytes, one cache line per dop (TestDopSize).
 type dop struct {
-	fn  func(c *Core, d *dop) ctl
-	alu func(a, b uint64) uint64
-	ext func(v uint64) uint64
-	cmp func(a, b uint64) bool
-	sy  *Syllable
-	imm int64
-	pc  uint64
-	dst uint8
-	ra  uint8
-	rb  uint8
-	tag uint8
-	siz uint8
-	rec int16
+	fn   func(c *Core, d *dop) ctl
+	alu  func(a, b uint64) uint64
+	ext  func(v uint64) uint64
+	cmp  func(a, b uint64) bool
+	sy   *Syllable
+	imm  int64
+	pc   uint64
+	dst  uint8
+	ra   uint8
+	rb   uint8
+	tag  uint8
+	siz  uint8
+	slot uint8
+	rec  int16
 }
 
 // decoded is the immutable threaded-dispatch table of one block.
@@ -91,18 +103,32 @@ func (c *Core) fail(err error, pc uint64) ctl {
 	return ctlStop
 }
 
-// push records a pending register write for the bundle's write phase.
+// discardSlot is the write-buffer slot of results that never commit.
+// A bundle writes at most NumRegs-1 distinct registers other than r0,
+// so the committed slots are 0..NumRegs-2 and masking a slot index
+// with discardSlot is the identity.
+const discardSlot = NumRegs - 1
+
+// push stores a result in the syllable's write slot for the bundle's
+// write phase.
 func (c *Core) push(d *dop, v uint64, p bool) ctl {
-	if d.dst == 0 {
-		return ctlNext
-	}
-	scr := &c.scr
-	if scr.written[d.dst] {
-		return c.fail(errInternal(d.pc, "vliw: double write of r%d in one bundle", d.dst), d.pc)
-	}
-	scr.written[d.dst] = true
-	scr.writes = append(scr.writes, pendingWrite{d.dst, v, p})
+	c.wb[d.slot&discardSlot] = pendingWrite{val: v, reg: d.dst, poison: p}
 	return ctlNext
+}
+
+// opDoubleWrite runs a syllable that writes a register an earlier
+// syllable of its bundle already writes: the syllable's own effects
+// happen (its result goes to the discard slot), then the violated
+// scheduler invariant is raised at its guest PC.
+func opDoubleWrite(c *Core, d *dop) ctl {
+	if r := handlerFor(d.sy)(c, d); r != ctlNext {
+		return r
+	}
+	return c.fail(errInternal(d.pc, "vliw: double write of r%d in one bundle", d.dst), d.pc)
+}
+
+func opBadReg(c *Core, d *dop) ctl {
+	return c.fail(errInternal(d.pc, "vliw: destination r%d out of range in %s", d.dst, d.sy), d.pc)
 }
 
 func opAluRR(c *Core, d *dop) ctl {
@@ -218,7 +244,7 @@ func opChk(c *Core, d *dop) ctl {
 		return c.fail(trap.Newf(trap.DeferredFault, "speculative load fault delivered at chk"), d.pc)
 	}
 	if conflict {
-		c.scr.recov = append(c.scr.recov, d.rec)
+		c.recov = append(c.recov, d.rec)
 	}
 	return ctlNext
 }
@@ -289,21 +315,25 @@ func opBadKind(c *Core, d *dop) ctl {
 	return c.fail(errInternal(d.pc, "vliw: unknown syllable kind %d", d.sy.Kind), d.pc)
 }
 
-// finishBundle runs the bundle's write phase, any MCB recoveries
-// detected in check order, and the exit decision — the tail of the old
-// per-bundle interpreter loop, verbatim.
-func (c *Core) finishBundle() ctl {
+// commit is the bundle's write phase: its n write slots land together.
+func (c *Core) commit(n uint8) {
 	fr := &c.fr
-	scr := &c.scr
-
-	// Write phase: all bundle results commit together.
-	for _, w := range scr.writes {
-		fr.regs[w.reg] = w.val
-		fr.poisoned[w.reg] = w.poison
+	for i := range n {
+		w := &c.wb[i&discardSlot]
+		fr.regs[w.reg&discardSlot] = w.val
+		fr.poisoned[w.reg&discardSlot] = w.poison
 	}
+}
+
+// finishBundle runs the write phase of a bundle with n write slots,
+// any MCB recoveries its chks requested (in check order), and the exit
+// decision.
+func (c *Core) finishBundle(n uint8) ctl {
+	fr := &c.fr
+	c.commit(n)
 
 	blk := fr.blk
-	for _, rec := range scr.recov {
+	for _, rec := range c.recov {
 		if int(rec) < 0 || int(rec) >= len(blk.Recoveries) {
 			return c.fail(errInternal(0, "vliw: recovery %d out of range", rec), 0)
 		}
@@ -321,6 +351,7 @@ func (c *Core) finishBundle() ctl {
 			return ctlStop
 		}
 	}
+	c.recov = c.recov[:0]
 
 	if fr.exitTaken {
 		*fr.cycles += c.Cfg.ExitPenalty
@@ -344,22 +375,30 @@ func (c *Core) finishBundle() ctl {
 	return ctlNext
 }
 
-// opEndBundle terminates a non-final bundle: finish it, then open the
-// next one (cycle, bundle count, scratch reset — the old loop header).
+// opEndBundle terminates a non-final bundle without chk, br.exit, jump
+// or jumpr: commit its writes, then open the next bundle.
 func opEndBundle(c *Core, d *dop) ctl {
-	if r := c.finishBundle(); r != ctlNext {
+	c.commit(d.slot)
+	*c.fr.cycles++
+	c.Stats.Bundles++
+	return ctlNext
+}
+
+// opEndBundleFull terminates any other non-final bundle: finish it,
+// then open the next one.
+func opEndBundleFull(c *Core, d *dop) ctl {
+	if r := c.finishBundle(d.slot); r != ctlNext {
 		return r
 	}
 	*c.fr.cycles++
 	c.Stats.Bundles++
-	c.scr.reset()
 	return ctlNext
 }
 
 // opEndBlock terminates the final bundle: finish it, then fall through
 // to the block's FallPC.
 func opEndBlock(c *Core, d *dop) ctl {
-	if r := c.finishBundle(); r != ctlNext {
+	if r := c.finishBundle(d.slot); r != ctlNext {
 		return r
 	}
 	fr := &c.fr
@@ -371,62 +410,106 @@ func opEndBlock(c *Core, d *dop) ctl {
 	return ctlStop
 }
 
-// buildDecoded flattens a block into its threaded-dispatch table.
+// handlerFor resolves a syllable's handler.
+func handlerFor(sy *Syllable) func(c *Core, d *dop) ctl {
+	switch sy.Kind {
+	case KAluRR:
+		return opAluRR
+	case KAluRI:
+		return opAluRI
+	case KMovI:
+		return opMovI
+	case KLoad:
+		return opLoad
+	case KLoadD:
+		return opLoadD
+	case KLoadS:
+		return opLoadS
+	case KStore:
+		return opStore
+	case KChk:
+		return opChk
+	case KBrExit:
+		return opBrExit
+	case KJump:
+		return opJump
+	case KJumpR:
+		return opJumpR
+	case KCsr:
+		return opCsr
+	case KFlush:
+		if sy.Op == riscv.CFLUSHALL {
+			return opFlushAll
+		}
+		return opFlushLine
+	case KCommit:
+		return opCommit
+	}
+	return opBadKind
+}
+
+// writesDst reports whether a syllable kind writes its Dst register.
+func writesDst(k Kind) bool {
+	switch k {
+	case KAluRR, KAluRI, KMovI, KLoad, KLoadD, KLoadS, KCsr, KCommit:
+		return true
+	}
+	return false
+}
+
+// buildDecoded flattens a block into its threaded-dispatch table,
+// assigning write slots and choosing each bundle's terminator.
 func buildDecoded(blk *Block) *decoded {
 	ops := make([]dop, 0, 8)
 	for bi := range blk.Bundles {
 		bundle := blk.Bundles[bi]
+		var written uint64 // registers this bundle writes so far
+		var slots uint8
+		full := false
 		for i := range bundle {
 			sy := &bundle[i]
 			if sy.Kind == KNop {
 				continue
 			}
 			d := dop{
+				fn: handlerFor(sy),
 				sy: sy, imm: sy.Imm, pc: sy.GuestPC,
 				dst: sy.Dst, ra: sy.Ra, rb: sy.Rb,
-				tag: sy.Tag, rec: sy.Rec,
+				tag: sy.Tag, rec: sy.Rec, slot: discardSlot,
 			}
 			switch sy.Kind {
 			case KAluRR:
-				d.fn, d.alu = opAluRR, aluFunc(sy.Op)
+				d.alu = aluFunc(sy.Op)
 			case KAluRI:
-				d.fn, d.alu = opAluRI, aluImmFunc(sy.Op)
-			case KMovI:
-				d.fn = opMovI
-			case KLoad:
-				d.fn, d.siz, d.ext = opLoad, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
-			case KLoadD:
-				d.fn, d.siz, d.ext = opLoadD, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
-			case KLoadS:
-				d.fn, d.siz, d.ext = opLoadS, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
+				d.alu = aluImmFunc(sy.Op)
+			case KLoad, KLoadD, KLoadS:
+				d.siz, d.ext = uint8(sy.Op.MemSize()), extendFunc(sy.Op)
 			case KStore:
-				d.fn, d.siz = opStore, uint8(sy.Op.MemSize())
-			case KChk:
-				d.fn = opChk
+				d.siz = uint8(sy.Op.MemSize())
 			case KBrExit:
-				d.fn, d.cmp = opBrExit, branchFunc(sy.Op)
-			case KJump:
-				d.fn = opJump
-			case KJumpR:
-				d.fn = opJumpR
-			case KCsr:
-				d.fn = opCsr
-			case KFlush:
-				if sy.Op == riscv.CFLUSHALL {
-					d.fn = opFlushAll
-				} else {
-					d.fn = opFlushLine
-				}
-			case KCommit:
-				d.fn = opCommit
+				d.cmp, full = branchFunc(sy.Op), true
+			case KChk, KJump, KJumpR:
+				full = true
+			}
+			switch {
+			case !writesDst(sy.Kind) || sy.Dst == 0:
+			case sy.Dst >= NumRegs:
+				d.fn = opBadReg
+			case written&(1<<sy.Dst) != 0:
+				d.fn = opDoubleWrite
 			default:
-				d.fn = opBadKind
+				written |= 1 << sy.Dst
+				d.slot = slots
+				slots++
 			}
 			ops = append(ops, d)
 		}
-		term := dop{fn: opEndBundle}
-		if bi == len(blk.Bundles)-1 {
+		term := dop{fn: opEndBundle, slot: slots}
+		switch {
+		case bi == len(blk.Bundles)-1:
 			term.fn = opEndBlock
+		case full:
+			term.fn = opEndBundleFull
 		}
 		ops = append(ops, term)
 	}

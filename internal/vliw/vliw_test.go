@@ -679,6 +679,15 @@ func FuzzDecodeBlock(f *testing.F) {
 			},
 			Recoveries: [][]Syllable{{{Kind: KLoad, Op: riscv.LD, Dst: 40, Ra: 5, Imm: 8, Rec: -1}}, {}},
 		},
+		// r0 writers, a double write and a chk in one wide bundle.
+		{EntryPC: 0x200, FallPC: 0x240, GuestInsts: 4,
+			Bundles: []Bundle{
+				{{Kind: KMovI, Dst: 0, Imm: 1, Rec: -1}, {Kind: KMovI, Dst: 0, Imm: 2, Rec: -1},
+					{Kind: KAluRR, Op: riscv.ADD, Dst: 7, Ra: 8, Rb: 9, Rec: -1}, {Kind: KLoadS, Op: riscv.LW, Dst: 41, Ra: 5, Tag: 2, Rec: -1},
+					{Kind: KNop}, {Kind: KCsr, Dst: 8, Imm: riscv.CSRCycle, Rec: -1},
+					{Kind: KCommit, Dst: 7, Ra: 41, Rec: -1}, {Kind: KChk, Tag: 2, Rec: -1}},
+			},
+		},
 	} {
 		img, err := EncodeBlock(blk)
 		if err != nil {
@@ -701,6 +710,20 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		if !reflect.DeepEqual(blk, again) {
 			t.Fatalf("block changed in an encode → decode round trip:\n%v\n%v", blk, again)
+		}
+		// Predecode derives write slots and terminators from these
+		// untrusted bytes: an accepted block must run to an ExitInfo
+		// (a fault is fine) without panicking.
+		blk.Prepare()
+		b := bus.MustNew(guestmem.New(0x10000, 1<<12), cache.DefaultConfig())
+		var regs [NumRegs]uint64
+		for i := range regs {
+			regs[i] = 0x10000 + uint64(i)*8
+		}
+		var cycles uint64
+		ei := MustNewCore(DefaultConfig()).Exec(blk, &regs, b, &cycles)
+		if ei.Fault == nil && cycles == 0 {
+			t.Fatalf("block ran without a fault in 0 cycles: %+v", ei)
 		}
 	})
 }
