@@ -11,6 +11,7 @@ import (
 	"ghostbusters/internal/cache"
 	"ghostbusters/internal/guestmem"
 	"ghostbusters/internal/riscv"
+	"ghostbusters/internal/trap"
 )
 
 func newTestBus() *bus.Bus {
@@ -713,7 +714,8 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		// Predecode derives write slots and terminators from these
 		// untrusted bytes: an accepted block must run to an ExitInfo
-		// (a fault is fine) without panicking.
+		// (a fault is fine) without panicking, and however it ends, it
+		// leaves no MCB entry behind.
 		blk.Prepare()
 		b := bus.MustNew(guestmem.New(0x10000, 1<<12), cache.DefaultConfig())
 		var regs [NumRegs]uint64
@@ -721,9 +723,10 @@ func FuzzDecodeBlock(f *testing.F) {
 			regs[i] = 0x10000 + uint64(i)*8
 		}
 		var cycles uint64
-		ei := MustNewCore(DefaultConfig()).Exec(blk, &regs, b, &cycles)
-		if ei.Fault == nil && cycles == 0 {
-			t.Fatalf("block ran without a fault in 0 cycles: %+v", ei)
+		c := MustNewCore(DefaultConfig())
+		ei := c.Exec(blk, &regs, b, &cycles)
+		if n := c.MCB.Outstanding(); n != 0 {
+			t.Fatalf("block ended (%+v) with %d MCB entries outstanding", ei, n)
 		}
 	})
 }
@@ -851,6 +854,27 @@ func TestZeroBundleBlockCostsACycle(t *testing.T) {
 	}
 	if cycles != 1 {
 		t.Fatalf("zero-bundle dispatch cost %d cycles, want 1", cycles)
+	}
+}
+
+// A destination outside the register file is an internal fault at the
+// writing syllable, never a host panic or a write to another register.
+func TestExecRejectsOutOfRangeDst(t *testing.T) {
+	cfg := DefaultConfig()
+	c := MustNewCore(cfg)
+	blk := &Block{Bundles: []Bundle{
+		pad(cfg,
+			Syllable{Kind: KMovI, Dst: 5, Imm: 1},
+			Syllable{Kind: KMovI, Dst: NumRegs + 5, Imm: 2, GuestPC: 0x44}),
+	}}
+	var regs [NumRegs]uint64
+	var cycles uint64
+	ei := c.Exec(blk, &regs, newTestBus(), &cycles)
+	if !trap.IsKind(ei.Fault, trap.Internal) || ei.FaultPC != 0x44 {
+		t.Fatalf("want an internal fault at 0x44, got %+v", ei)
+	}
+	if regs[5] != 0 {
+		t.Fatalf("faulting bundle committed r5 = %d", regs[5])
 	}
 }
 
