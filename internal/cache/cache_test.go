@@ -262,11 +262,3 @@ func TestIndexMatchesDivMod(t *testing.T) {
 		}
 	}
 }
-
-func TestHitLatencyAccessor(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HitLatency = 7
-	if got := MustNew(cfg).HitLatency(); got != 7 {
-		t.Fatalf("HitLatency() = %d, want 7", got)
-	}
-}

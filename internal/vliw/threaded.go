@@ -105,8 +105,9 @@ func (c *Core) fail(err error, pc uint64) ctl {
 
 // discardSlot is the write-buffer slot of results that never commit.
 // A bundle writes at most NumRegs-1 distinct registers other than r0,
-// so the committed slots are 0..NumRegs-2 and masking a slot index
-// with discardSlot is the identity.
+// so the committed slots are 0..NumRegs-2. Masking a slot index (or a
+// predecode-checked register number) with discardSlot is the identity
+// and lets the compiler drop the bounds check on the hot path.
 const discardSlot = NumRegs - 1
 
 // push stores a result in the syllable's write slot for the bundle's
