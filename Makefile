@@ -19,7 +19,6 @@
 
 GO ?= go
 FUZZTIME ?= 30s
-PROFILESWEEPS ?= 20
 
 .PHONY: build fmt test vet race check fuzz bench bench-quick fig4 perf profile-warm trace trace-v4 audit detect-eval serve-smoke soak
 
@@ -72,14 +71,14 @@ fig4:
 perf:
 	$(GO) run ./cmd/gbbench -exp fig4 -perfjson BENCH_fig4.json
 
-# The execution-layer profile: PROFILESWEEPS timed sweeps of the Fig. 4
-# matrix at default kernel sizes, one worker, on artifact and
-# translation caches warmed by an untimed sweep. The profile spans the
-# whole test binary, so each benchmark round's warm-up sweep (translation
-# included) is in it too; 20 sweeps keep that share small. The test
-# binary is kept next to the profile so pprof can symbolize it.
+# The execution-layer profile: 20 timed sweeps of the Fig. 4 matrix at
+# default kernel sizes, one worker, on artifact and translation caches
+# warmed by an untimed sweep. The profile spans the whole test binary,
+# so each benchmark round's warm-up sweep (translation included) is in
+# it too; 20 sweeps keep that share small. The test binary is kept next
+# to the profile so pprof can symbolize it.
 profile-warm:
-	$(GO) test -run '^$$' -bench '^BenchmarkFig4Warm$$' -benchtime $(PROFILESWEEPS)x \
+	$(GO) test -run '^$$' -bench '^BenchmarkFig4Warm$$' -benchtime 20x \
 		-cpuprofile warm.prof -o ghostbusters.test .
 	@echo "wrote warm.prof — go tool pprof -top ghostbusters.test warm.prof"
 

@@ -216,9 +216,10 @@ type Result struct {
 // transEntry is the dispatch loop's record of one entered guest PC:
 // its profiled entry count, whether its translation failed for good,
 // and the region installed there, if any. One map lookup finds all
-// three, so a translated dispatch costs one lookup. The record outlives
-// retranslation and self-modifying-code invalidation, which replace or
-// drop only the region.
+// three, so a translated dispatch costs two lookups: one for its region
+// and one in onEnter to count the entry of its successor. The record
+// outlives retranslation and self-modifying-code invalidation, which
+// replace or drop only the region.
 type transEntry struct {
 	entries uint64  // profiled entries (interpreter + dispatch)
 	noTrans bool    // translation failed for good: never translated again
@@ -491,16 +492,15 @@ func (m *Machine) oracle(pc uint64) (taken, follow bool) {
 	return false, false
 }
 
-// onEnter profiles a block entry, triggers translation when the
-// thresholds are crossed, and returns pc's record (nil when translation
-// is disabled).
-func (m *Machine) onEnter(pc uint64) *transEntry {
+// onEnter profiles a block entry and triggers translation when the
+// thresholds are crossed.
+func (m *Machine) onEnter(pc uint64) {
 	if m.cfg.DisableTranslation {
-		return nil
+		return
 	}
 	e := m.entry(pc)
 	if e.noTrans {
-		return e
+		return
 	}
 	e.entries++
 	switch {
@@ -509,7 +509,6 @@ func (m *Machine) onEnter(pc uint64) *transEntry {
 	case e.rg != nil && !e.rg.isTrace && !m.cfg.DisableTraces && e.entries >= m.cfg.TraceThreshold:
 		m.translateAt(pc, true)
 	}
-	return e
 }
 
 func (m *Machine) translateAt(pc uint64, asTrace bool) {
@@ -744,10 +743,7 @@ func (m *Machine) raise(f *trap.Fault, pc uint64) *trap.Fault {
 // PC, cycle count and — for faults inside translated code — the entry
 // PC of the translated region.
 func (m *Machine) Run() (*Result, error) {
-	// next is the record of nextPC when the previous step entered it
-	// through onEnter, so the top of the loop need not look it up again.
-	nextPC := m.state.PC
-	next := m.onEnter(nextPC)
+	m.onEnter(m.state.PC)
 	poll := 0
 	for {
 		if m.cfg.MaxCycles != 0 && m.cycles > m.cfg.MaxCycles {
@@ -772,12 +768,7 @@ func (m *Machine) Run() (*Result, error) {
 			}
 		}
 		pc := m.state.PC
-		e := next
-		if e == nil || nextPC != pc {
-			e = m.trans[pc]
-		}
-		next = nil
-		if e != nil && e.rg != nil {
+		if e := m.trans[pc]; e != nil && e.rg != nil {
 			rg := e.rg
 			tron := m.tr.BlockOn()
 			if tron {
@@ -844,7 +835,7 @@ func (m *Machine) Run() (*Result, error) {
 				m.stats.Deopts++
 			}
 			m.state.PC = ei.NextPC
-			nextPC, next = ei.NextPC, m.onEnter(ei.NextPC)
+			m.onEnter(ei.NextPC)
 			continue
 		}
 
@@ -880,7 +871,7 @@ func (m *Machine) Run() (*Result, error) {
 				}
 			}
 			if res.Taken {
-				nextPC, next = res.Target, m.onEnter(res.Target)
+				m.onEnter(res.Target)
 			}
 		}
 	}

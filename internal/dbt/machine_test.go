@@ -539,7 +539,10 @@ loop:
 	// The loop head should be a trace with unrolled body.
 	p := riscv.MustAssemble(src)
 	loopPC := p.MustSymbol("loop")
-	e := m.trans[loopPC].rg
+	var e *region
+	if te := m.trans[loopPC]; te != nil {
+		e = te.rg
+	}
 	if e == nil || !e.isTrace {
 		t.Fatalf("loop head translated=%v trace=%v", e != nil, e != nil && e.isTrace)
 	}

@@ -461,7 +461,17 @@ func writesDst(k Kind) bool {
 // buildDecoded flattens a block into its threaded-dispatch table,
 // assigning write slots and choosing each bundle's terminator.
 func buildDecoded(blk *Block) *decoded {
-	ops := make([]dop, 0, 8)
+	// Size the table exactly: it lives as long as the block, and cached
+	// blocks are shared by every machine that runs them.
+	n := len(blk.Bundles) // one terminator per bundle
+	for _, bundle := range blk.Bundles {
+		for i := range bundle {
+			if bundle[i].Kind != KNop {
+				n++
+			}
+		}
+	}
+	ops := make([]dop, 0, n)
 	for bi := range blk.Bundles {
 		bundle := blk.Bundles[bi]
 		var written uint64 // registers this bundle writes so far
